@@ -223,7 +223,7 @@ if cmake -B "$ASAN_BUILD" -G Ninja -DHLS_SANITIZE=address -DHLS_WERROR=ON \
       golden_metrics_test conservation_test phase_breakdown_test \
       abort_provenance_test span_trace_test report_test chaos_soak \
       adaptive_test adaptive_controller_test abl_adaptive_routing \
-      >/dev/null 2>&1; then
+      rfc_mode_test deadlock_policy_test >/dev/null 2>&1; then
   HLS_TIME_SCALE=0.05 "./$ASAN_BUILD/bench/abl_fault_tolerance" >/dev/null
   HLS_TIME_SCALE=0.05 "./$ASAN_BUILD/bench/abl_adaptive_routing" >/dev/null
   # The same fixed-seed soak under asan: chaos episodes walk the dedup /
@@ -244,7 +244,12 @@ if cmake -B "$ASAN_BUILD" -G Ninja -DHLS_SANITIZE=address -DHLS_WERROR=ON \
   # inside the event loop, the exact place a lifetime bug would hide.
   "./$ASAN_BUILD/tests/adaptive_test" >/dev/null
   "./$ASAN_BUILD/tests/adaptive_controller_test" >/dev/null
-  echo "asan: abl_fault_tolerance + adaptive gate + chaos soak + golden/conservation/phase/provenance/adaptive suites clean"
+  # Force-aborted waiting deadlock victims and remote-call replies reaching
+  # an aborted epoch: the closures of the shared step sequence that outlive
+  # the run they were armed for.
+  "./$ASAN_BUILD/tests/rfc_mode_test" >/dev/null
+  "./$ASAN_BUILD/tests/deadlock_policy_test" >/dev/null
+  echo "asan: abl_fault_tolerance + adaptive gate + chaos soak + golden/conservation/phase/provenance/adaptive/rfc/deadlock suites clean"
 else
   echo "asan: unavailable in this toolchain; skipped"
 fi

@@ -75,15 +75,18 @@ RunResult run_simulation(const SystemConfig& config,
 RunResult run_simulation(const SystemConfig& config, const StrategySpec& spec,
                          const RunOptions& options) {
   const ModelParams base = ModelParams::from_config(config);
-  double static_p = -1.0;
+  // Optimize once: the static optimum becomes a fixed-probability spec,
+  // which builds the same strategy (same name, same seed).
+  StrategySpec resolved = spec;
   if (spec.kind == StrategyKind::StaticOptimal) {
-    static_p = StaticOptimizer().optimize(base).p_ship;
-  } else if (spec.kind == StrategyKind::StaticProbability) {
-    static_p = spec.parameter;
+    resolved.kind = StrategyKind::StaticProbability;
+    resolved.parameter = StaticOptimizer().optimize(base).p_ship;
   }
-  auto strategy = make_strategy(spec, base, config.seed ^ 0x51CA5EEDULL);
+  auto strategy = make_strategy(resolved, base, config.seed ^ 0x51CA5EEDULL);
   RunResult result = run_simulation(config, std::move(strategy), options);
-  result.static_p_ship = static_p;
+  result.static_p_ship = resolved.kind == StrategyKind::StaticProbability
+                             ? resolved.parameter
+                             : -1.0;
   return result;
 }
 

@@ -241,8 +241,7 @@ Transaction* HybridSystem::find(TxnId id, std::uint64_t epoch) {
 }
 
 void HybridSystem::cpu_burst(FcfsResource& cpu, double seconds, Transaction* txn,
-                             obs::Phase service_phase, int track,
-                             void (HybridSystem::*next)(Transaction*)) {
+                             obs::Phase service_phase, int track, Step next) {
   txn->phases.pending = obs::Phase::ReadyQueue;
   cpu.submit(seconds, [this, seconds, service_phase, track, id = txn->id,
                        epoch = txn->epoch, next] {
@@ -254,7 +253,7 @@ void HybridSystem::cpu_burst(FcfsResource& cpu, double seconds, Transaction* txn
 }
 
 void HybridSystem::wait(double seconds, Transaction* txn, obs::Phase phase,
-                        int track, void (HybridSystem::*next)(Transaction*)) {
+                        int track, Step next) {
   txn->phases.pending = phase;
   // IO-occupancy gauge: increment at schedule, decrement unconditionally in
   // the callback (before the epoch check, so the pairing is exact even when
@@ -705,20 +704,6 @@ Transaction* HybridSystem::choose_deadlock_victim(Transaction* requester,
   return youngest;
 }
 
-void HybridSystem::force_abort_victim(Transaction* victim,
-                                      Transaction* requester) {
-  HLS_ASSERT(victim->auth_pending_acks == 0,
-             "deadlock victim cannot be mid-authentication");
-  victim->marked_by = requester->id;
-  victim->marked_by_site = requester->home_site;
-  if (victim->cls == TxnClass::A && victim->route == Route::Local) {
-    local_abort(victim, AbortCause::Deadlock, /*release_everything=*/true);
-  } else {
-    central_abort_rerun(victim, AbortCause::Deadlock,
-                        /*release_everything=*/true);
-  }
-}
-
 // --------------------------------------------------------------------------
 // arrivals / routing
 
@@ -745,7 +730,7 @@ void HybridSystem::admit(Transaction* t) {
       // Remote-call mode: processing stays home, data stays central.
       ++central_.resident_txns;
       t->at_central = true;
-      rfc_start_run(t);
+      start_run(t);
     } else {
       ship_to_central(t);
     }
@@ -763,7 +748,7 @@ void HybridSystem::admit(Transaction* t) {
     ship_to_central(t);
   } else {
     ++home.resident_txns;
-    local_start_run(t);
+    start_run(t);
   }
 }
 
@@ -803,37 +788,55 @@ SystemStateView HybridSystem::make_state_view(int site) const {
 }
 
 // --------------------------------------------------------------------------
-// local class A execution
+// the step sequence (local class A, central, remote-call class B)
+//
+// One lifecycle for every role; the role lookups in hybrid_system.hpp pick
+// the CPU, lock table and span tracks. Remote-call class B splices two round
+// trips into it: do_call's burst continues with rfc_send_call, whose central
+// end re-enters after_call_cpu, and lock_granted continues with
+// rfc_send_reply, back to do_call; commit's burst continues with
+// rfc_send_commit, whose central end re-enters after_commit_cpu.
 
-void HybridSystem::local_start_run(Transaction* txn) {
-  consume_retry_edge(txn, txn->home_site);
-  cpu_burst(*sites_[txn->home_site].cpu, cfg_.site_cpu_seconds(txn->home_site, cfg_.instr_msg_init),
-            txn, obs::Phase::CpuService, txn->home_site,
-            &HybridSystem::local_after_init);
+void HybridSystem::step_burst(Transaction* txn, double instructions,
+                              obs::Phase phase, Step next) {
+  if (runs_at_home(*txn)) {
+    const int home = txn->home_site;
+    cpu_burst(*sites_[home].cpu, cfg_.site_cpu_seconds(home, instructions), txn,
+              phase, home, next);
+  } else {
+    cpu_burst(*central_.cpu, cfg_.central_cpu_seconds(instructions), txn, phase,
+              obs::kCentralTrack, next);
+  }
 }
 
-void HybridSystem::local_after_init(Transaction* txn) {
+void HybridSystem::start_run(Transaction* txn) {
+  consume_retry_edge(txn, run_track(*txn));
+  step_burst(txn, cfg_.instr_msg_init, obs::Phase::CpuService,
+             &HybridSystem::after_init);
+}
+
+void HybridSystem::after_init(Transaction* txn) {
   if (txn->memory_resident) {
     // Re-referenced data is memory resident: skip the setup I/O.
-    local_do_call(txn);
+    do_call(txn);
   } else {
-    wait(cfg_.setup_io_time, txn, obs::Phase::Io, txn->home_site,
-         &HybridSystem::local_do_call);
+    wait(cfg_.setup_io_time, txn, obs::Phase::Io, run_track(*txn),
+         &HybridSystem::do_call);
   }
 }
 
-void HybridSystem::local_do_call(Transaction* txn) {
+void HybridSystem::do_call(Transaction* txn) {
   if (txn->call_index >= static_cast<int>(txn->locks.size())) {
-    local_commit(txn);
+    commit(txn);
     return;
   }
-  cpu_burst(*sites_[txn->home_site].cpu, cfg_.site_cpu_seconds(txn->home_site, cfg_.instr_per_call),
-            txn, obs::Phase::CpuService, txn->home_site,
-            &HybridSystem::local_after_call_cpu);
+  step_burst(txn, cfg_.instr_per_call, obs::Phase::CpuService,
+             is_rfc(*txn) ? &HybridSystem::rfc_send_call
+                          : &HybridSystem::after_call_cpu);
 }
 
-void HybridSystem::local_after_call_cpu(Transaction* txn) {
-  LockManager& lm = *sites_[txn->home_site].locks;
+void HybridSystem::after_call_cpu(Transaction* txn) {
+  LockManager& lm = lock_table(*txn);
   txn->phases.pending = obs::Phase::LockWait;
   // Retry loop: when the victim policy aborts another cycle member, the
   // requester's lock request is re-issued (each force-abort removes one
@@ -845,68 +848,120 @@ void HybridSystem::local_after_call_cpu(Transaction* txn) {
         lm.request(txn->id, need.id, need.mode,
                    [this, id = txn->id, epoch = txn->epoch] {
                      if (Transaction* t = find(id, epoch)) {
-                       local_lock_granted(t);
+                       lock_granted(t);
                      }
                    },
                    &cycle);
     switch (outcome) {
       case LockRequestOutcome::Granted:
       case LockRequestOutcome::AlreadyHeld:
-        local_lock_granted(txn);
+        lock_granted(txn);
         return;
       case LockRequestOutcome::Queued:
-        return;  // local_lock_granted fires on grant
+        return;  // lock_granted fires on grant
       case LockRequestOutcome::Deadlock: {
         Transaction* victim = choose_deadlock_victim(txn, cycle);
         if (victim == txn) {
           set_deadlock_winner(txn, cycle);
-          local_abort(txn, AbortCause::Deadlock, /*release_everything=*/true);
+          abort_run(txn, AbortCause::Deadlock, /*release_everything=*/true);
           return;
         }
-        force_abort_victim(victim, txn);
+        // Force-abort a waiting victim; the requester is the conflict
+        // winner for provenance and re-issues its request.
+        HLS_ASSERT(victim->auth_pending_acks == 0,
+                   "deadlock victim cannot be mid-authentication");
+        victim->marked_by = txn->id;
+        victim->marked_by_site = txn->home_site;
+        abort_run(victim, AbortCause::Deadlock, /*release_everything=*/true);
         continue;
       }
     }
   }
 }
 
-void HybridSystem::local_lock_granted(Transaction* txn) {
+void HybridSystem::lock_granted(Transaction* txn) {
   // Zero-length if the lock was granted immediately (no span emitted).
-  span_settle(txn, obs::Phase::LockWait, sim_.now(), txn->home_site);
+  span_settle(txn, obs::Phase::LockWait, sim_.now(), lock_track(*txn));
   const bool do_io = !txn->memory_resident && txn->call_io[txn->call_index];
   ++txn->call_index;
-  if (do_io) {
-    wait(cfg_.call_io_time, txn, obs::Phase::Io, txn->home_site,
-         &HybridSystem::local_do_call);
+  if (is_rfc(*txn)) {
+    // The call's I/O happens at the central copy — scheduled even when
+    // skipped — then the reply goes home.
+    wait(do_io ? cfg_.call_io_time : 0.0, txn, obs::Phase::Io,
+         obs::kCentralTrack, &HybridSystem::rfc_send_reply);
+  } else if (do_io) {
+    wait(cfg_.call_io_time, txn, obs::Phase::Io, run_track(*txn),
+         &HybridSystem::do_call);
   } else {
-    local_do_call(txn);
+    do_call(txn);
   }
 }
 
-void HybridSystem::local_commit(Transaction* txn) {
+void HybridSystem::commit(Transaction* txn) {
   if (txn->marked_abort) {
-    // Preempted by an authenticating central transaction; abort and rerun.
-    // Surviving locks are kept (§3.1: locks are not released after an abort).
-    local_abort(txn, AbortCause::LocalPreempted, /*release_everything=*/false);
+    // Lost a lock during execution (preempted locally, invalidated
+    // centrally). Surviving locks are kept (§3.1: locks are not released
+    // after an abort).
+    abort_run(txn, commit_abort_cause(*txn), /*release_everything=*/false);
     return;
   }
-  double instr = cfg_.instr_msg_commit;
-  if (txn->writes_anything()) {
-    instr += cfg_.instr_send_async;
+  double instructions = cfg_.instr_msg_commit;
+  if (runs_local(*txn) && txn->writes_anything()) {
+    instructions += cfg_.instr_send_async;
   }
-  cpu_burst(*sites_[txn->home_site].cpu,
-            cfg_.site_cpu_seconds(txn->home_site, instr), txn,
-            obs::Phase::Commit, txn->home_site,
-            &HybridSystem::local_after_commit_cpu);
+  step_burst(txn, instructions, obs::Phase::Commit,
+             is_rfc(*txn) ? &HybridSystem::rfc_send_commit
+                          : &HybridSystem::after_commit_cpu);
 }
 
-void HybridSystem::local_after_commit_cpu(Transaction* txn) {
+void HybridSystem::after_commit_cpu(Transaction* txn) {
   if (txn->marked_abort) {
-    // Marked while commit processing was queued/in service.
-    local_abort(txn, AbortCause::LocalPreempted, /*release_everything=*/false);
+    // Marked while commit processing was queued, in service or in flight.
+    abort_run(txn, commit_abort_cause(*txn), /*release_everything=*/false);
     return;
   }
-  local_finalize(txn);
+  if (runs_local(*txn)) {
+    local_finalize(txn);
+  } else {
+    central_begin_auth(txn);
+  }
+}
+
+void HybridSystem::abort_run(Transaction* txn, AbortCause cause,
+                             bool release_everything) {
+  // Settle the open segment (zero-length for synchronous commit-point
+  // aborts; a real lock wait for force-aborted deadlock victims).
+  span_interrupt(txn, lock_track(*txn));
+  LockManager& lm = lock_table(*txn);
+  if (release_everything) {
+    lm.release_all(txn->id);
+  } else {
+    lm.cancel_waits(txn->id);  // defensive: commit-time aborts never wait
+  }
+  prepare_rerun(txn, cause);
+  restart(txn);
+}
+
+void HybridSystem::restart(Transaction* txn) {
+  double delay = cfg_.abort_restart_delay;
+  if (cfg_.livelock_backoff > 0.0 &&
+      txn->run_count > cfg_.livelock_backoff_after) {
+    // Linear growth de-synchronizes mutual-abort cycles: the members carry
+    // different run counts, so their stalls diverge until one of them gets
+    // a clear window to finish. Deterministic — no randomness needed.
+    delay += cfg_.livelock_backoff *
+             static_cast<double>(txn->run_count - cfg_.livelock_backoff_after);
+  }
+  if (is_rfc(*txn)) {
+    // The abort outcome travels back to the home site before the rerun.
+    wait(cfg_.comm_delay + delay, txn, obs::Phase::Stall, txn->home_site,
+         &HybridSystem::start_run);
+  } else if (delay > 0.0) {
+    wait(delay, txn, obs::Phase::Stall, run_track(*txn),
+         &HybridSystem::start_run);
+  } else {
+    start_run(txn);
+  }
 }
 
 void HybridSystem::local_finalize(Transaction* txn) {
@@ -941,27 +996,6 @@ void HybridSystem::local_finalize(Transaction* txn) {
     queue_async_update(txn->home_site, std::move(updated));
   }
   complete(txn, sim_.now());
-}
-
-void HybridSystem::local_abort(Transaction* txn, AbortCause cause,
-                               bool release_everything) {
-  // Settle the open segment (zero-length for synchronous commit-point
-  // aborts; a real lock wait for force-aborted deadlock victims).
-  span_interrupt(txn, txn->home_site);
-  LockManager& lm = *sites_[txn->home_site].locks;
-  if (release_everything) {
-    lm.release_all(txn->id);
-  } else {
-    lm.cancel_waits(txn->id);  // defensive: commit-time aborts never wait
-  }
-  prepare_rerun(txn, cause);
-  const double restart_delay = restart_delay_for(txn);
-  if (restart_delay > 0.0) {
-    wait(restart_delay, txn, obs::Phase::Stall, txn->home_site,
-         &HybridSystem::local_start_run);
-  } else {
-    local_start_run(txn);
-  }
 }
 
 // --------------------------------------------------------------------------
@@ -1059,117 +1093,16 @@ void HybridSystem::ship_after_forward(Transaction* txn) {
                 obs::kCentralTrack);
       ++central_.resident_txns;
       t->at_central = true;
-      central_start_run(t);
+      start_run(t);
     }
   });
-}
-
-void HybridSystem::central_start_run(Transaction* txn) {
-  consume_retry_edge(txn, obs::kCentralTrack);
-  cpu_burst(*central_.cpu, cfg_.central_cpu_seconds(cfg_.instr_msg_init), txn,
-            obs::Phase::CpuService, obs::kCentralTrack,
-            &HybridSystem::central_after_init);
-}
-
-void HybridSystem::central_after_init(Transaction* txn) {
-  if (txn->memory_resident) {
-    central_do_call(txn);
-  } else {
-    wait(cfg_.setup_io_time, txn, obs::Phase::Io, obs::kCentralTrack,
-         &HybridSystem::central_do_call);
-  }
-}
-
-void HybridSystem::central_do_call(Transaction* txn) {
-  if (txn->call_index >= static_cast<int>(txn->locks.size())) {
-    central_commit(txn);
-    return;
-  }
-  cpu_burst(*central_.cpu, cfg_.central_cpu_seconds(cfg_.instr_per_call), txn,
-            obs::Phase::CpuService, obs::kCentralTrack,
-            &HybridSystem::central_after_call_cpu);
-}
-
-void HybridSystem::central_after_call_cpu(Transaction* txn) {
-  txn->phases.pending = obs::Phase::LockWait;
-  for (;;) {
-    const LockNeed& need = txn->locks[txn->call_index];
-    std::vector<TxnId> cycle;
-    const auto outcome =
-        central_.locks->request(txn->id, need.id, need.mode,
-                                [this, id = txn->id, epoch = txn->epoch] {
-                                  if (Transaction* t = find(id, epoch)) {
-                                    central_lock_granted(t);
-                                  }
-                                },
-                                &cycle);
-    switch (outcome) {
-      case LockRequestOutcome::Granted:
-      case LockRequestOutcome::AlreadyHeld:
-        central_lock_granted(txn);
-        return;
-      case LockRequestOutcome::Queued:
-        return;
-      case LockRequestOutcome::Deadlock: {
-        Transaction* victim = choose_deadlock_victim(txn, cycle);
-        if (victim == txn) {
-          set_deadlock_winner(txn, cycle);
-          central_abort_rerun(txn, AbortCause::Deadlock,
-                              /*release_everything=*/true);
-          return;
-        }
-        force_abort_victim(victim, txn);
-        continue;
-      }
-    }
-  }
-}
-
-void HybridSystem::central_lock_granted(Transaction* txn) {
-  span_settle(txn, obs::Phase::LockWait, sim_.now(),
-              obs::kCentralTrack);  // zero if immediate
-  const bool do_io = !txn->memory_resident && txn->call_io[txn->call_index];
-  ++txn->call_index;
-  if (do_io) {
-    wait(cfg_.call_io_time, txn, obs::Phase::Io, obs::kCentralTrack,
-         &HybridSystem::central_do_call);
-  } else {
-    central_do_call(txn);
-  }
-}
-
-void HybridSystem::central_commit(Transaction* txn) {
-  if (txn->marked_abort) {
-    // Invalidated by an asynchronous update during execution.
-    central_abort_rerun(txn, AbortCause::CentralInvalidated,
-                        /*release_everything=*/false);
-    return;
-  }
-  cpu_burst(*central_.cpu, cfg_.central_cpu_seconds(cfg_.instr_msg_commit), txn,
-            obs::Phase::Commit, obs::kCentralTrack,
-            &HybridSystem::central_after_commit_cpu);
-}
-
-void HybridSystem::central_after_commit_cpu(Transaction* txn) {
-  if (txn->marked_abort) {
-    central_abort_rerun(txn, AbortCause::CentralInvalidated,
-                        /*release_everything=*/false);
-    return;
-  }
-  central_begin_auth(txn);
 }
 
 void HybridSystem::central_begin_auth(Transaction* txn) {
   // Send the lock list to every master site of the data locked; for shipped
   // class A transactions that is just the home site.
   ++metrics_.auth_rounds;
-  std::vector<int> involved;
-  for (const LockNeed& need : txn->locks) {
-    const int owner = cfg_.owner_site(need.id);
-    if (std::find(involved.begin(), involved.end(), owner) == involved.end()) {
-      involved.push_back(owner);
-    }
-  }
+  const std::vector<int> involved = master_sites(*txn);
   HLS_ASSERT(!involved.empty(), "authentication with no involved sites");
   txn->auth_pending_acks = static_cast<int>(involved.size());
   txn->auth_any_negative = false;
@@ -1322,238 +1255,89 @@ void HybridSystem::central_auth_done(Transaction* txn) {
       txn->marked_by_site = txn->auth_blocker_site;
     }
     release_auth_grants(txn);
-    central_abort_rerun(txn, cause, /*release_everything=*/false);
+    abort_run(txn, cause, /*release_everything=*/false);
     return;
   }
 
   // Commit: release the authentication grants at the involved sites and the
   // concurrency locks at the central site; the response travels one link
   // delay back to the user's region.
-  for (int site : txn->auth_sites) {
-    send_down(site, [this, site, id = txn->id] {
-      sites_[site].cpu->submit(
-          cfg_.site_cpu_seconds(site, cfg_.instr_commit_apply_local),
-          [this, site, id] { sites_[site].locks->release_all(id); });
-    });
-  }
+  release_auth_grants(txn);
   central_.locks->release_all(txn->id);
   complete(txn, sim_.now() + cfg_.comm_delay);
 }
 
 void HybridSystem::release_auth_grants(Transaction* txn) {
   for (int site : txn->auth_sites) {
-    send_down(site, [this, site, id = txn->id] {
-      sites_[site].cpu->submit(
-          cfg_.site_cpu_seconds(site, cfg_.instr_commit_apply_local),
-          [this, site, id] { sites_[site].locks->release_all(id); });
-    });
+    send_release(site, txn->id);
   }
   txn->auth_sites.clear();
 }
 
-void HybridSystem::central_abort_rerun(Transaction* txn, AbortCause cause,
-                                       bool release_everything) {
-  span_interrupt(txn, obs::kCentralTrack);  // zero for synchronous abort points
-  if (release_everything) {
-    central_.locks->release_all(txn->id);
-  } else {
-    central_.locks->cancel_waits(txn->id);  // defensive
-  }
-  prepare_rerun(txn, cause);
-  schedule_central_restart(txn);
+void HybridSystem::send_release(int site, TxnId id) {
+  send_down(site, [this, site, id] { release_site_locks(site, id); });
 }
 
-void HybridSystem::schedule_central_restart(Transaction* txn) {
-  const double restart_delay = restart_delay_for(txn);
-  if (is_rfc(*txn)) {
-    // The abort outcome travels back to the home site before the rerun.
-    wait(cfg_.comm_delay + restart_delay, txn, obs::Phase::Stall,
-         txn->home_site, &HybridSystem::rfc_start_run);
-    return;
-  }
-  if (restart_delay > 0.0) {
-    wait(restart_delay, txn, obs::Phase::Stall, obs::kCentralTrack,
-         &HybridSystem::central_start_run);
-  } else {
-    central_start_run(txn);
-  }
+void HybridSystem::release_site_locks(int site, TxnId id) {
+  sites_[site].cpu->submit(
+      cfg_.site_cpu_seconds(site, cfg_.instr_commit_apply_local),
+      [this, site, id] { sites_[site].locks->release_all(id); });
 }
 
-double HybridSystem::restart_delay_for(const Transaction* txn) const {
-  double delay = cfg_.abort_restart_delay;
-  if (cfg_.livelock_backoff > 0.0 &&
-      txn->run_count > cfg_.livelock_backoff_after) {
-    // Linear growth de-synchronizes mutual-abort cycles: the members carry
-    // different run counts, so their stalls diverge until one of them gets
-    // a clear window to finish. Deterministic — no randomness needed.
-    delay += cfg_.livelock_backoff *
-             static_cast<double>(txn->run_count - cfg_.livelock_backoff_after);
+std::vector<int> HybridSystem::master_sites(const Transaction& txn) const {
+  std::vector<int> sites;
+  for (const LockNeed& need : txn.locks) {
+    const int owner = cfg_.owner_site(need.id);
+    if (std::find(sites.begin(), sites.end(), owner) == sites.end()) {
+      sites.push_back(owner);
+    }
   }
-  return delay;
+  return sites;
 }
 
 // --------------------------------------------------------------------------
-// class B via remote function calls (ClassBMode::RemoteCalls)
+// remote-call class B legs (ClassBMode::RemoteCalls)
 
-void HybridSystem::rfc_start_run(Transaction* txn) {
-  consume_retry_edge(txn, txn->home_site);
-  cpu_burst(*sites_[txn->home_site].cpu,
-            cfg_.site_cpu_seconds(txn->home_site, cfg_.instr_msg_init),
-            txn, obs::Phase::CpuService, txn->home_site,
-            &HybridSystem::rfc_after_init);
+void HybridSystem::rfc_send_call(Transaction* txn) {
+  rfc_send_up(txn, cfg_.instr_remote_call, obs::Phase::CpuService,
+              &HybridSystem::after_call_cpu);
 }
 
-void HybridSystem::rfc_after_init(Transaction* txn) {
-  if (txn->memory_resident) {
-    rfc_do_call(txn);
-  } else {
-    wait(cfg_.setup_io_time, txn, obs::Phase::Io, txn->home_site,
-         &HybridSystem::rfc_do_call);
-  }
+void HybridSystem::rfc_send_commit(Transaction* txn) {
+  // The central copy runs the commit point and the normal authentication
+  // phase against the master sites.
+  rfc_send_up(txn, cfg_.instr_msg_commit, obs::Phase::Commit,
+              &HybridSystem::after_commit_cpu);
 }
 
-void HybridSystem::rfc_do_call(Transaction* txn) {
-  if (txn->call_index >= static_cast<int>(txn->locks.size())) {
-    rfc_commit(txn);
-    return;
-  }
-  cpu_burst(*sites_[txn->home_site].cpu,
-            cfg_.site_cpu_seconds(txn->home_site, cfg_.instr_per_call),
-            txn, obs::Phase::CpuService, txn->home_site,
-            &HybridSystem::rfc_after_call_cpu);
-}
-
-void HybridSystem::rfc_after_call_cpu(Transaction* txn) {
-  // One remote function call: request travels to the central copy. The CPU
-  // burst is submitted whether or not the transaction is still live (the
-  // central CPU does the work before discovering the requester aborted), so
-  // the timeline settles around it: Network at delivery, the burst at grant.
+void HybridSystem::rfc_send_up(Transaction* txn, double instructions,
+                               obs::Phase phase, Step next) {
   txn->phases.pending = obs::Phase::Network;
-  send_up(txn->home_site, [this, id = txn->id, epoch = txn->epoch] {
-    if (Transaction* t = find(id, epoch)) {
-      span_settle(t, obs::Phase::Network, sim_.now(), t->home_site);
-      t->phases.pending = obs::Phase::ReadyQueue;
-    }
-    central_.cpu->submit(cfg_.central_cpu_seconds(cfg_.instr_remote_call),
-                         [this, id, epoch] { rfc_central_request(id, epoch); });
-  });
-}
-
-void HybridSystem::rfc_central_request(TxnId id, std::uint64_t epoch) {
-  Transaction* txn = find(id, epoch);
-  if (txn == nullptr) {
-    return;  // aborted while the request was in flight; rerun re-requests
-  }
-  span_burst(txn, obs::Phase::CpuService,
-             cfg_.central_cpu_seconds(cfg_.instr_remote_call),
-             obs::kCentralTrack);
-  txn->phases.pending = obs::Phase::LockWait;
-  for (;;) {
-    const LockNeed& need = txn->locks[txn->call_index];
-    std::vector<TxnId> cycle;
-    const auto outcome = central_.locks->request(
-        txn->id, need.id, need.mode,
-        [this, id, epoch] {
-          if (Transaction* t = find(id, epoch)) {
-            rfc_central_after_lock(t);
-          }
-        },
-        &cycle);
-    switch (outcome) {
-      case LockRequestOutcome::Granted:
-      case LockRequestOutcome::AlreadyHeld:
-        rfc_central_after_lock(txn);
-        return;
-      case LockRequestOutcome::Queued:
-        return;
-      case LockRequestOutcome::Deadlock: {
-        Transaction* victim = choose_deadlock_victim(txn, cycle);
-        if (victim == txn) {
-          set_deadlock_winner(txn, cycle);
-          central_abort_rerun(txn, AbortCause::Deadlock,
-                              /*release_everything=*/true);
-          return;
-        }
-        force_abort_victim(victim, txn);
-        continue;
-      }
-    }
-  }
-}
-
-void HybridSystem::rfc_central_after_lock(Transaction* txn) {
-  span_settle(txn, obs::Phase::LockWait, sim_.now(), obs::kCentralTrack);
-  // The data call's I/O happens at the central copy, then the reply goes
-  // home (the home-site CPU books the reply handling).
-  const bool do_io = !txn->memory_resident && txn->call_io[txn->call_index];
-  const double io = do_io ? cfg_.call_io_time : 0.0;
-  wait(io, txn, obs::Phase::Io, obs::kCentralTrack,
-       &HybridSystem::rfc_reply_send);
-}
-
-void HybridSystem::rfc_reply_send(Transaction* txn) {
-  txn->phases.pending = obs::Phase::Network;
-  send_down(txn->home_site, [this, id = txn->id, epoch = txn->epoch] {
+  const double seconds = cfg_.central_cpu_seconds(instructions);
+  send_up(txn->home_site, [this, id = txn->id, epoch = txn->epoch, seconds,
+                           phase, next] {
     Transaction* t = find(id, epoch);
     if (t == nullptr) {
+      // The central CPU does the work before discovering that the requester
+      // aborted while the request was in flight.
+      central_.cpu->submit(seconds, [] {});
       return;
     }
     span_settle(t, obs::Phase::Network, sim_.now(), t->home_site);
-    cpu_burst(*sites_[t->home_site].cpu,
-              cfg_.site_cpu_seconds(t->home_site, cfg_.instr_recv_ack), t,
-              obs::Phase::CpuService, t->home_site,
-              &HybridSystem::rfc_reply_received);
+    cpu_burst(*central_.cpu, seconds, t, phase, obs::kCentralTrack, next);
   });
 }
 
-void HybridSystem::rfc_reply_received(Transaction* txn) {
-  ++txn->call_index;
-  rfc_do_call(txn);
-}
-
-void HybridSystem::rfc_commit(Transaction* txn) {
-  if (txn->marked_abort) {
-    central_abort_rerun(txn, AbortCause::CentralInvalidated,
-                        /*release_everything=*/false);
-    return;
-  }
-  cpu_burst(*sites_[txn->home_site].cpu,
-            cfg_.site_cpu_seconds(txn->home_site, cfg_.instr_msg_commit), txn,
-            obs::Phase::Commit, txn->home_site,
-            &HybridSystem::rfc_after_commit_cpu);
-}
-
-void HybridSystem::rfc_after_commit_cpu(Transaction* txn) {
-  // Commit request travels to the central site, which runs the normal
-  // authentication phase against the master sites. As in rfc_after_call_cpu,
-  // the central burst is submitted unconditionally.
+void HybridSystem::rfc_send_reply(Transaction* txn) {
+  // The reply goes home, where the home-site CPU books its handling.
   txn->phases.pending = obs::Phase::Network;
-  send_up(txn->home_site, [this, id = txn->id, epoch = txn->epoch] {
+  send_down(txn->home_site, [this, id = txn->id, epoch = txn->epoch] {
     if (Transaction* t = find(id, epoch)) {
       span_settle(t, obs::Phase::Network, sim_.now(), t->home_site);
-      t->phases.pending = obs::Phase::ReadyQueue;
+      step_burst(t, cfg_.instr_recv_ack, obs::Phase::CpuService,
+                 &HybridSystem::do_call);
     }
-    central_.cpu->submit(cfg_.central_cpu_seconds(cfg_.instr_msg_commit),
-                         [this, id, epoch] {
-                           if (Transaction* t = find(id, epoch)) {
-                             span_burst(
-                                 t, obs::Phase::Commit,
-                                 cfg_.central_cpu_seconds(cfg_.instr_msg_commit),
-                                 obs::kCentralTrack);
-                             rfc_central_commit(t);
-                           }
-                         });
   });
-}
-
-void HybridSystem::rfc_central_commit(Transaction* txn) {
-  if (txn->marked_abort) {
-    // Invalidated while the commit request was in flight.
-    central_abort_rerun(txn, AbortCause::CentralInvalidated,
-                        /*release_everything=*/false);
-    return;
-  }
-  central_begin_auth(txn);
 }
 
 // --------------------------------------------------------------------------
@@ -1670,14 +1454,7 @@ void HybridSystem::central_crash() {
   }
   central_.alive = false;
   ++metrics_.central_crashes;
-  if (obs_wants(obs::EventKind::Fault)) {
-    obs::Event event;
-    event.kind = obs::EventKind::Fault;
-    event.time = sim_.now();
-    event.site = -1;
-    event.up = false;
-    emit_event(event);
-  }
+  note_fault(-1, /*up=*/false);
 
   // Sort the victims so the crash processing order (and therefore every
   // downstream event) is independent of arena index order.
@@ -1721,24 +1498,12 @@ void HybridSystem::central_recover() {
   }
   central_.alive = true;
   ++metrics_.central_recoveries;
-  if (obs_wants(obs::EventKind::Fault)) {
-    obs::Event event;
-    event.kind = obs::EventKind::Fault;
-    event.time = sim_.now();
-    event.site = -1;
-    event.up = true;
-    emit_event(event);
-  }
+  note_fault(-1, /*up=*/true);
 
   // Replay the message backlog in arrival order before restarting any
   // aborted resident: coherence updates and fresh shipped arrivals observe
   // the same FIFO order they would have without the outage.
-  std::vector<UniqueFunction<void()>> backlog;
-  backlog.swap(central_.backlog);
-  metrics_.backlog_replayed += backlog.size();
-  for (UniqueFunction<void()>& cb : backlog) {
-    cb();
-  }
+  replay_backlog(central_.backlog);
 
   std::vector<std::pair<TxnId, std::uint64_t>> queue;
   queue.swap(central_.recovery_queue);
@@ -1751,7 +1516,7 @@ void HybridSystem::central_recover() {
     txn->at_central = true;
     // Outage residence, booked on the central track where the victim sat.
     span_settle(txn, obs::Phase::Stall, sim_.now(), obs::kCentralTrack);
-    schedule_central_restart(txn);
+    restart(txn);
   }
 }
 
@@ -1762,14 +1527,7 @@ void HybridSystem::site_crash(int site) {
   }
   s.alive = false;
   ++metrics_.site_crashes;
-  if (obs_wants(obs::EventKind::Fault)) {
-    obs::Event event;
-    event.kind = obs::EventKind::Fault;
-    event.time = sim_.now();
-    event.site = site;
-    event.up = false;
-    emit_event(event);
-  }
+  note_fault(site, /*up=*/false);
 
   // Only the class A transactions executing locally crash with the site.
   // Shipped work from this site keeps running at central (its response will
@@ -1806,29 +1564,37 @@ void HybridSystem::site_recover(int site) {
   }
   s.alive = true;
   ++metrics_.site_recoveries;
-  if (obs_wants(obs::EventKind::Fault)) {
-    obs::Event event;
-    event.kind = obs::EventKind::Fault;
-    event.time = sim_.now();
-    event.site = site;
-    event.up = true;
-    emit_event(event);
-  }
+  note_fault(site, /*up=*/true);
 
-  std::vector<UniqueFunction<void()>> backlog;
-  backlog.swap(s.backlog);
-  metrics_.backlog_replayed += backlog.size();
-  for (UniqueFunction<void()>& cb : backlog) {
-    cb();
-  }
+  replay_backlog(s.backlog);
 
   std::vector<std::pair<TxnId, std::uint64_t>> queue;
   queue.swap(s.recovery_queue);
   for (const auto& [id, epoch] : queue) {
     if (Transaction* txn = find(id, epoch)) {
       span_settle(txn, obs::Phase::Stall, sim_.now(), site);  // outage residence
-      local_start_run(txn);
+      start_run(txn);
     }
+  }
+}
+
+void HybridSystem::note_fault(int site, bool up) {
+  if (obs_wants(obs::EventKind::Fault)) {
+    obs::Event event;
+    event.kind = obs::EventKind::Fault;
+    event.time = sim_.now();
+    event.site = site;
+    event.up = up;
+    emit_event(event);
+  }
+}
+
+void HybridSystem::replay_backlog(std::vector<UniqueFunction<void()>>& backlog) {
+  std::vector<UniqueFunction<void()>> pending;
+  pending.swap(backlog);
+  metrics_.backlog_replayed += pending.size();
+  for (UniqueFunction<void()>& cb : pending) {
+    cb();
   }
 }
 
@@ -1837,19 +1603,7 @@ void HybridSystem::release_auth_holds_everywhere(Transaction* txn) {
   // site whose grant is still in flight holds locks too. Recompute the full
   // master-site set from the access pattern and release unconditionally
   // (release_all is a no-op where nothing is held).
-  std::vector<int> owners;
-  for (const LockNeed& need : txn->locks) {
-    const int owner = cfg_.owner_site(need.id);
-    if (std::find(owners.begin(), owners.end(), owner) == owners.end()) {
-      owners.push_back(owner);
-    }
-  }
-  for (int site : owners) {
-    auto expire = [this, site, id = txn->id] {
-      sites_[site].cpu->submit(
-          cfg_.site_cpu_seconds(site, cfg_.instr_commit_apply_local),
-          [this, site, id] { sites_[site].locks->release_all(id); });
-    };
+  for (int site : master_sites(*txn)) {
     if (site == txn->home_site && sites_[site].alive) {
       // The failure detector runs at the home site, co-located with this
       // lock table: expire its holds without a link hop. Riding the link
@@ -1858,9 +1612,9 @@ void HybridSystem::release_auth_holds_everywhere(Transaction* txn) {
       // the same transaction id. The CPU job still queues FCFS ahead of the
       // rerun's initiation burst, so the release is ordered before any
       // re-acquisition.
-      expire();
+      release_site_locks(site, txn->id);
     } else {
-      send_down(site, std::move(expire));
+      send_release(site, txn->id);
     }
   }
   txn->auth_sites.clear();
@@ -1936,7 +1690,7 @@ void HybridSystem::on_ship_timeout(TxnId id, std::uint64_t attempt) {
   --home.shipped_in_flight;
   ++home.resident_txns;
   txn->route = Route::Local;
-  local_start_run(txn);
+  start_run(txn);
 }
 
 // --------------------------------------------------------------------------

@@ -5,31 +5,47 @@
 // arrivals, executes the paper's protocol (§2), and consults a pluggable
 // RoutingStrategy for every class A arrival (§3).
 //
-// Protocol summary as implemented:
-//   * Local class A execution: initiation CPU, setup I/O (first run only),
-//     then db_calls_per_txn rounds of [call CPU, lock request on the local
-//     table, call I/O]. At commit, an abort mark (set when an authenticating
-//     central transaction preempted one of this transaction's locks) forces
-//     a rerun; otherwise the transaction releases its locks, increments the
+// Protocol summary as implemented. Every transaction runs one step sequence:
+//   start_run         initiation CPU
+//   after_init        setup I/O (first run only)
+//   do_call           per DB call: call CPU; after the last call, commit
+//   after_call_cpu    lock request; a deadlock aborts the chosen victim
+//   lock_granted      call I/O (first run only), then the next do_call
+//   commit            abort if marked for abort, else commit CPU
+//   after_commit_cpu  abort if marked meanwhile, else the role's commit leg
+// Each step looks up what differs from the transaction's class, route and
+// cfg_.class_b_mode (docs/PROTOCOL.md, "One step sequence"):
+//   * Local class A runs on its home CPU and lock table. A mark means an
+//     authenticating central transaction preempted one of its locks. Its
+//     commit leg (local_finalize) releases the locks, increments the
 //     coherence count of every updated entity, ships one asynchronous update
 //     message to the central site, and completes immediately — it never
 //     waits for the central acknowledgement.
-//   * Central execution (class B and shipped class A): same shape against
-//     the central lock table. At commit the transaction runs the
-//     authentication phase: lock lists go to the master site(s); a master
-//     refuses (negative ack) if any entity has in-flight asynchronous
-//     updates or is held by a non-preemptible holder, otherwise it preempts
-//     incompatible local holders (marking them for abort) and grants. On all
-//     positive acks — and if no asynchronous update invalidated the
-//     transaction meanwhile — commit messages release the granted locks and
-//     the transaction completes; otherwise it releases its grants and reruns
-//     at the central site.
-//   * Asynchronous updates delivered in order (net::Link) invalidate central
-//     locks on the updated entities: central holders are marked for abort
-//     and lose those locks; an acknowledgement flows back and decrements the
-//     coherence counts.
-//   * Deadlocks (waits-for cycle within one site) abort the requester, which
-//     releases everything and reruns.
+//   * Central execution (class B and shipped class A, after the ship
+//     forward) runs on the central CPU and lock table. A mark means an
+//     asynchronous update invalidated one of its locks. Its commit leg is
+//     the authentication phase (central_begin_auth): lock lists go to the
+//     master site(s); a master refuses (negative ack) if any entity has
+//     in-flight asynchronous updates or is held by a non-preemptible holder,
+//     otherwise it preempts incompatible local holders (marking them for
+//     abort) and grants. On all positive acks — and if no asynchronous
+//     update invalidated the transaction meanwhile — commit messages release
+//     the granted locks and the transaction completes; otherwise it releases
+//     its grants and reruns.
+//   * Remote-call class B (ClassBMode::RemoteCalls) runs on its home CPU
+//     against the central lock table: each call's lock request and I/O sit
+//     inside a round trip to the central copy, and the commit request
+//     travels there too before the central commit point and authentication.
+// Every abort takes one path (abort_run): settle the open segment, release
+// the locks (deadlock) or keep them (commit-time aborts), book the abort,
+// and restart on the same role after the restart delay.
+//
+// Asynchronous updates delivered in order (net::Link) invalidate central
+// locks on the updated entities: central holders are marked for abort and
+// lose those locks; an acknowledgement flows back and decrements the
+// coherence counts. Deadlocks (waits-for cycle within one site) abort the
+// victim chosen by cfg_.deadlock_victim, which releases everything and
+// reruns.
 //
 // Reruns model re-referenced data as memory-resident: all CPU is re-spent,
 // all I/O is skipped, and surviving locks are kept (per §3.1).
@@ -279,16 +295,17 @@ class HybridSystem {
   };
 
   // ---- plumbing ----
+  /// A protocol step continuation.
+  using Step = void (HybridSystem::*)(Transaction*);
   Transaction* find(TxnId id, std::uint64_t epoch);
   /// Submits a CPU burst; on completion the leading queue wait is settled to
   /// ReadyQueue and the service time to `service_phase` (CpuService/Commit).
   /// `track` names the span track (site index, or obs::kCentralTrack).
   void cpu_burst(FcfsResource& cpu, double seconds, Transaction* txn,
-                 obs::Phase service_phase, int track,
-                 void (HybridSystem::*next)(Transaction*));
+                 obs::Phase service_phase, int track, Step next);
   /// Plain delay; the elapsed time is settled to `phase` (Io or Stall).
   void wait(double seconds, Transaction* txn, obs::Phase phase, int track,
-            void (HybridSystem::*next)(Transaction*));
+            Step next);
   void send_up(int site, UniqueFunction<void()> deliver);
   void send_down(int site, UniqueFunction<void()> deliver);
   /// Receiver half of the sequence-number protocol: runs `process` when
@@ -302,10 +319,6 @@ class HybridSystem {
   /// attempt time) into metrics and the abort event, then resets the
   /// transaction's execution state for the next attempt.
   void prepare_rerun(Transaction* txn, AbortCause cause);
-  /// Stall before the next attempt: abort_restart_delay plus the livelock
-  /// breaker's growing backoff once run_count passes the configured
-  /// threshold (call after prepare_rerun bumped run_count).
-  [[nodiscard]] double restart_delay_for(const Transaction* txn) const;
 
   // ---- span tracer (all no-ops unless a sink subscribed to Span/Edge) ----
   /// Emits one phase span [begin, end] on `track` for `txn`.
@@ -333,65 +346,93 @@ class HybridSystem {
   /// other cycle member is eligible).
   Transaction* choose_deadlock_victim(Transaction* requester,
                                       const std::vector<TxnId>& cycle);
-  /// Force-aborts a waiting victim (not the requester): releases its locks,
-  /// preps a rerun and restarts it on its execution tier. The requester is
-  /// the conflict winner for provenance.
-  void force_abort_victim(Transaction* victim, Transaction* requester);
 
   // ---- arrivals / routing ----
   void on_arrival(int site);
   /// Starts an arena-resident transaction (registered via arena_.commit).
   void admit(Transaction* txn);
 
-  // ---- local class A execution ----
-  void local_start_run(Transaction* txn);
-  void local_after_init(Transaction* txn);
-  void local_do_call(Transaction* txn);
-  void local_after_call_cpu(Transaction* txn);
-  void local_lock_granted(Transaction* txn);
-  void local_commit(Transaction* txn);
-  void local_after_commit_cpu(Transaction* txn);
-  void local_finalize(Transaction* txn);
-  void local_abort(Transaction* txn, AbortCause cause, bool release_everything);
+  // ---- the step sequence, shared by every execution role ----
+  void start_run(Transaction* txn);
+  void after_init(Transaction* txn);
+  void do_call(Transaction* txn);
+  /// Requests the current call's lock. A deadlock aborts the chosen victim;
+  /// when that is another cycle member, the request is re-issued.
+  void after_call_cpu(Transaction* txn);
+  void lock_granted(Transaction* txn);
+  void commit(Transaction* txn);
+  void after_commit_cpu(Transaction* txn);
+  /// Every abort of a running transaction: settles the open segment,
+  /// releases every lock (`release_everything`, deadlocks) or keeps the
+  /// surviving ones (commit-time aborts, §3.1), books the abort, restarts.
+  void abort_run(Transaction* txn, AbortCause cause, bool release_everything);
+  /// Schedules the next run after abort_restart_delay plus the livelock
+  /// breaker's growing backoff once run_count passes the configured
+  /// threshold. Remote-call class B first waits for the abort outcome to
+  /// travel home. Call after prepare_rerun bumped run_count.
+  void restart(Transaction* txn);
 
-  // ---- central execution (class B and shipped class A) ----
-  void ship_to_central(Transaction* txn);
-  void ship_after_forward(Transaction* txn);
-  void central_start_run(Transaction* txn);
-  void central_after_init(Transaction* txn);
-  void central_do_call(Transaction* txn);
-  void central_after_call_cpu(Transaction* txn);
-  void central_lock_granted(Transaction* txn);
-  void central_commit(Transaction* txn);
-  void central_after_commit_cpu(Transaction* txn);
-  void central_begin_auth(Transaction* txn);
-  /// Restarts a central-data transaction's next run on the right tier
-  /// (central for shipped/class B, home for remote-call class B).
-  void schedule_central_restart(Transaction* txn);
-
-  // ---- class B via remote function calls (ClassBMode::RemoteCalls) ----
-  void rfc_start_run(Transaction* txn);
-  void rfc_after_init(Transaction* txn);
-  void rfc_do_call(Transaction* txn);
-  void rfc_after_call_cpu(Transaction* txn);
-  void rfc_central_request(TxnId id, std::uint64_t epoch);
-  void rfc_central_after_lock(Transaction* txn);
-  void rfc_reply_send(Transaction* txn);
-  void rfc_reply_received(Transaction* txn);
-  void rfc_commit(Transaction* txn);
-  void rfc_after_commit_cpu(Transaction* txn);
-  void rfc_central_commit(Transaction* txn);
+  // ---- role lookups: where each step of a transaction runs ----
+  /// Local class A: runs on its home site's CPU and lock table.
+  [[nodiscard]] static bool runs_local(const Transaction& txn) {
+    return txn.cls == TxnClass::A && txn.route == Route::Local;
+  }
+  /// Remote-call class B: runs on its home CPU against the central table.
   [[nodiscard]] bool is_rfc(const Transaction& txn) const {
     return txn.cls == TxnClass::B && cfg_.class_b_mode == ClassBMode::RemoteCalls;
   }
+  [[nodiscard]] bool runs_at_home(const Transaction& txn) const {
+    return runs_local(txn) || is_rfc(txn);
+  }
+  /// Span track of the CPU bursts and I/O of the steps.
+  [[nodiscard]] int run_track(const Transaction& txn) const {
+    return runs_at_home(txn) ? txn.home_site : obs::kCentralTrack;
+  }
+  /// Span track of the lock waits and aborts.
+  [[nodiscard]] static int lock_track(const Transaction& txn) {
+    return runs_local(txn) ? txn.home_site : obs::kCentralTrack;
+  }
+  [[nodiscard]] LockManager& lock_table(const Transaction& txn) {
+    return runs_local(txn) ? *sites_[txn.home_site].locks : *central_.locks;
+  }
+  /// What a mark for abort found at the commit point means.
+  [[nodiscard]] static AbortCause commit_abort_cause(const Transaction& txn) {
+    return runs_local(txn) ? AbortCause::LocalPreempted
+                           : AbortCause::CentralInvalidated;
+  }
+  /// cpu_burst of `instructions` on the CPU (and at the MIPS) the steps
+  /// run on.
+  void step_burst(Transaction* txn, double instructions, obs::Phase phase,
+                  Step next);
+
+  // ---- the legs that differ by role ----
+  void local_finalize(Transaction* txn);
+  void ship_to_central(Transaction* txn);
+  void ship_after_forward(Transaction* txn);
+  void central_begin_auth(Transaction* txn);
+  /// Remote-call class B legs. rfc_send_call and rfc_send_commit carry a
+  /// DB call's request or the commit request up to the central copy, whose
+  /// CPU runs it (even for a requester that aborted meanwhile) before
+  /// after_call_cpu or after_commit_cpu; rfc_send_reply brings a call's
+  /// reply home, back to do_call.
+  void rfc_send_call(Transaction* txn);
+  void rfc_send_commit(Transaction* txn);
+  void rfc_send_up(Transaction* txn, double instructions, obs::Phase phase,
+                   Step next);
+  void rfc_send_reply(Transaction* txn);
+  /// The distinct master sites of `txn`'s locks, in access order.
+  [[nodiscard]] std::vector<int> master_sites(const Transaction& txn) const;
   void local_process_auth(int site, TxnId txn_id, std::uint64_t epoch,
                           std::vector<LockNeed> needs);
   void central_auth_ack(TxnId txn_id, std::uint64_t epoch, int site, bool positive,
                         bool granted, TxnId blocker, int blocker_site);
   void central_auth_done(Transaction* txn);
   void release_auth_grants(Transaction* txn);
-  void central_abort_rerun(Transaction* txn, AbortCause cause,
-                           bool release_everything);
+  /// The release chain for `id`'s locks at master site `site`: one
+  /// instr_commit_apply_local burst there, then release_all. send_release
+  /// sends it down the link; release_site_locks runs it in place.
+  void send_release(int site, TxnId id);
+  void release_site_locks(int site, TxnId id);
 
   // ---- fault injection ----
   /// Expands cfg_.faults into simulator events (constructor; only when the
@@ -409,6 +450,11 @@ class HybridSystem {
   void central_recover();
   void site_crash(int site);
   void site_recover(int site);
+  /// Emits the Fault trace event for a crash (`up` false) or recovery of
+  /// `site` (-1 = the central complex).
+  void note_fault(int site, bool up);
+  /// Replays a recovered node's message backlog in arrival order.
+  void replay_backlog(std::vector<UniqueFunction<void()>>& backlog);
   /// Failure-detector cleanup: expires this transaction's authentication
   /// grabs at every master site it could have contacted (acked or not).
   void release_auth_holds_everywhere(Transaction* txn);

@@ -55,7 +55,6 @@ struct Transaction {
   int run_count = 0;        ///< 0 on first run; incremented per rerun
   int call_index = 0;       ///< next DB call to execute
   bool marked_abort = false;
-  bool active = false;      ///< between start-of-run and commit/abort
   std::uint64_t epoch = 0;  ///< bumped on each rerun; guards stale callbacks
 
   // ---- authentication state (central/shipped only) ----
@@ -113,7 +112,6 @@ struct Transaction {
     run_count = 0;
     call_index = 0;
     marked_abort = false;
-    active = false;
     epoch = 0;
     auth_pending_acks = 0;
     auth_any_negative = false;
@@ -164,7 +162,7 @@ struct Transaction {
     return s;
   }
 
-  /// True when call k updates (exclusively locks) its entity.
+  /// True when any call updates (exclusively locks) its entity.
   [[nodiscard]] bool writes_anything() const {
     for (const LockNeed& need : locks) {
       if (need.mode == LockMode::Exclusive) {

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "core/experiment.hpp"
+#include "model/static_optimizer.hpp"
 #include "routing/basic_strategies.hpp"
 
 namespace hls {
@@ -39,8 +40,13 @@ TEST(Driver, StaticOptimalRecordsChosenProbability) {
   const RunResult r = run_simulation(light_config(),
                                      {StrategyKind::StaticOptimal, 0.0},
                                      quick_options());
+  const double optimum =
+      StaticOptimizer().optimize(ModelParams::from_config(light_config())).p_ship;
   EXPECT_GE(r.static_p_ship, 0.0);
   EXPECT_LE(r.static_p_ship, 1.0);
+  EXPECT_EQ(r.static_p_ship, optimum);  // bit-exact: the optimum that ran
+  EXPECT_EQ(r.strategy_name,
+            StaticProbabilisticStrategy(optimum, 0).name());
 }
 
 TEST(Driver, StaticProbabilityPassesParameterThrough) {

@@ -131,7 +131,7 @@ TEST(DeadlockPolicy, CentralDeadlocksHonourThePolicy) {
 
 // ---- livelock breaker ----
 //
-// restart_delay_for adds livelock_backoff * (run_count -
+// HybridSystem::restart adds livelock_backoff * (run_count -
 // livelock_backoff_after) to every restart once run_count passes the
 // threshold. Pinned by exact equivalence: the victim of a single deadlock
 // carries run_count 1, so with threshold 0 its one stall must equal a plain
@@ -188,8 +188,8 @@ TEST(LivelockBreaker, BelowThresholdIsPerfectlyInert) {
 }
 
 TEST(LivelockBreaker, CentralRestartPathHonoursTheBackoff) {
-  // Same equivalence through central_abort_rerun / schedule_central_restart:
-  // a class B deadlock at the central complex (requester victim).
+  // Same equivalence on the central role's restart (abort_run ->
+  // restart): a class B deadlock at the central complex (requester victim).
   auto class_b = [](TxnId id, int site, LockId a, LockId b) {
     Transaction txn;
     txn.id = id;
