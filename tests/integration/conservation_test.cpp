@@ -20,6 +20,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "hybrid/hybrid_system.hpp"
@@ -36,6 +37,13 @@ struct GridPoint {
   bool faulted;
   bool chaos;  ///< steady message-level chaos plus a msg_fault window
 };
+
+// Names each point by its fields in test listings and failure messages. The
+// default byte dump would embed the `spec` pointer, which moves per build.
+void PrintTo(const GridPoint& gp, std::ostream* os) {
+  *os << "seed=" << gp.seed << "," << gp.spec << (gp.faulted ? ",faulted" : "")
+      << (gp.chaos ? ",chaos" : "");
+}
 
 SystemConfig grid_config(const GridPoint& gp) {
   SystemConfig cfg;

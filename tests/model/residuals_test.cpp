@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "util/random.hpp"
 
@@ -106,6 +107,18 @@ struct McCase {
   Residual b;
   double offset;
 };
+
+const char* shape_name(ResidualShape s) {
+  return s == ResidualShape::Uniform ? "uniform" : "triangular";
+}
+
+// Names each case by its fields in test listings and failure messages. The
+// default byte dump would include the uninitialised padding after `shape`.
+void PrintTo(const McCase& c, std::ostream* os) {
+  *os << "a=" << shape_name(c.a.shape) << ":" << c.a.length
+      << ",b=" << shape_name(c.b.shape) << ":" << c.b.length
+      << ",offset=" << c.offset;
+}
 
 class ProbFirstExceedsMc : public ::testing::TestWithParam<McCase> {};
 
