@@ -37,7 +37,7 @@ struct Scenario {
 Cell run_cell(const hls::SystemConfig& cfg, const char* spec,
               const hls::RunOptions& opts, const Scenario& sc) {
   using namespace hls;
-  auto strategy = make_strategy(parse_strategy_spec(spec),
+  auto strategy = make_strategy(parse_strategy_spec(spec).value(),
                                 ModelParams::from_config(cfg),
                                 cfg.seed ^ 0x51CA5EEDULL);
 

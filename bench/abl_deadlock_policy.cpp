@@ -61,7 +61,7 @@ int main() {
         .add_cell(row_labels[i].second)
         .add_num(m.rt_all.mean(), 3)
         .add_int(static_cast<long long>(
-            m.aborts[static_cast<int>(AbortCause::Deadlock)]))
+            m.aborts(AbortCause::Deadlock)))
         .add_num(m.runs_per_txn(), 4)
         .add_num(m.throughput(), 2);
   }

@@ -107,8 +107,8 @@ int main() {
           .add_num(outage, 0)
           .add_num(m.rt_all.mean(), 3)
           .add_num(m.ship_fraction(), 3)
-          .add_num(static_cast<double>(m.ship_timeouts), 0)
-          .add_num(static_cast<double>(m.ship_fallbacks), 0)
+          .add_num(static_cast<double>(m.ship_timeouts()), 0)
+          .add_num(static_cast<double>(m.ship_fallbacks()), 0)
           .add_num(static_cast<double>(m.arrivals_rejected), 0)
           .add_num(static_cast<double>(m.backlog_replayed), 0)
           .add_num(static_cast<double>(m.completions), 0);
@@ -172,8 +172,8 @@ int main() {
           .add_cell(label)
           .add_cell(level.label)
           .add_num(m.rt_all.mean(), 3)
-          .add_num(static_cast<double>(m.dup_msgs_dropped), 0)
-          .add_num(static_cast<double>(m.msgs_resequenced), 0)
+          .add_num(static_cast<double>(m.dup_msgs_dropped()), 0)
+          .add_num(static_cast<double>(m.msgs_resequenced()), 0)
           .add_num(static_cast<double>(cell.faults.delay_spikes), 0)
           .add_num(static_cast<double>(m.completions), 0);
     }

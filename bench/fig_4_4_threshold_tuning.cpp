@@ -51,7 +51,7 @@ int main() {
     cell.arrival_rate_per_site = rate / cell.num_sites;
     cell.adapt_interval = opts.measure_seconds / 25.0;
     auto strategy =
-        make_strategy(parse_strategy_spec("adapt:util-threshold:0"),
+        make_strategy(parse_strategy_spec("adapt:util-threshold:0").value(),
                       ModelParams::from_config(cell), cell.seed ^ 0x51CA5EEDULL);
     HybridSystem system(cell, std::move(strategy));
     system.enable_arrivals();

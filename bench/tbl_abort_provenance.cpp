@@ -21,15 +21,15 @@ hls::Table provenance_table(const hls::Series& series) {
         .add_num(p.total_rate, 1)
         .add_num(m.ship_fraction(), 3)
         .add_int(static_cast<long long>(m.aborts_total()))
-        .add_int(static_cast<long long>(m.aborts_with_winner))
+        .add_int(static_cast<long long>(m.aborts_with_winner()))
         .add_int(static_cast<long long>(
-            m.aborts[static_cast<int>(AbortCause::LocalPreempted)]))
+            m.aborts(AbortCause::LocalPreempted)))
         .add_int(static_cast<long long>(
-            m.aborts[static_cast<int>(AbortCause::CentralInvalidated)]))
+            m.aborts(AbortCause::CentralInvalidated)))
         .add_int(static_cast<long long>(
-            m.aborts[static_cast<int>(AbortCause::AuthRefused)]))
+            m.aborts(AbortCause::AuthRefused)))
         .add_int(static_cast<long long>(
-            m.aborts[static_cast<int>(AbortCause::Deadlock)]))
+            m.aborts(AbortCause::Deadlock)))
         .add_num(m.wasted_cpu_total(), 4)
         .add_num(m.wasted_io_total(), 4)
         .add_num(m.wasted_per_txn.mean(), 6);

@@ -83,8 +83,8 @@ int main() {
     for (int window = 0; window < 10; ++window) {
       sys.run_for(180.0);
       const Metrics& m = sys.metrics();
-      const double arrivals = static_cast<double>(m.arrivals_class_a);
-      const double shipped = static_cast<double>(m.shipped_class_a);
+      const double arrivals = static_cast<double>(m.arrivals_class_a());
+      const double shipped = static_cast<double>(m.shipped_class_a());
       const double window_ship =
           arrivals > last_arrivals
               ? (shipped - last_shipped) / (arrivals - last_arrivals)

@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -100,6 +101,16 @@ int main(int argc, char** argv) {
     strategy_names = {"no-load-sharing", "static-optimal", "queue-length",
                       "min-average-nsys"};
   }
+  std::vector<StrategySpec> specs;
+  for (const std::string& name : strategy_names) {
+    std::string error;
+    const std::optional<StrategySpec> spec = parse_strategy_spec(name, &error);
+    if (!spec.has_value()) {
+      std::fprintf(stderr, "strategy: %s\n", error.c_str());
+      return 1;
+    }
+    specs.push_back(*spec);
+  }
 
   SystemConfig cfg;
   cfg.num_sites = static_cast<int>(sites);
@@ -152,8 +163,8 @@ int main(int argc, char** argv) {
 
   Table table({"strategy", "tput", "avg_rt", "p95_rt", "rt_local", "rt_shipped",
                "rt_classB", "ship_frac", "runs/txn", "util_loc", "util_cen"});
-  for (const std::string& name : strategy_names) {
-    const RunResult r = run_simulation(cfg, parse_strategy_spec(name), opts);
+  for (const StrategySpec& spec : specs) {
+    const RunResult r = run_simulation(cfg, spec, opts);
     const Metrics& m = r.metrics;
     table.begin_row()
         .add_cell(r.strategy_name)

@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(m.completions),
               m.rt_all.mean(),
               static_cast<unsigned long long>(m.aborts_total()),
-              static_cast<unsigned long long>(m.ship_timeouts));
+              static_cast<unsigned long long>(m.ship_timeouts()));
 
   // Phase breakdown: the response-time mean, decomposed. The sum of the
   // phase means equals the mean exactly (the phase-sum identity).

@@ -87,7 +87,8 @@ int main() {
                "site2_ship_frac", "aborts"});
   for (const char* name : {"no-load-sharing", "static:0.3", "queue-length",
                            "min-average-nsys"}) {
-    HybridSystem sys(cfg, make_strategy(parse_strategy_spec(name), base, 7));
+    HybridSystem sys(cfg,
+                     make_strategy(parse_strategy_spec(name).value(), base, 7));
     replay_trace(sys, *parsed);
     sys.simulator().run();  // trace is finite: run to completion
     const Metrics& m = sys.metrics();

@@ -120,10 +120,10 @@ echo "adaptive gate: abl_adaptive_routing beat the best static F and drained"
 mark chaos
 # Chaos soak: fixed-seed generated episodes (random config x strategy x
 # composed fault schedule) run to drain, twice each, against the full oracle
-# stack — invariants, drain-to-zero, conservation, phase-sum, provenance and
-# dedup double entries, byte-identical replay (docs/CHAOS.md). A failing
-# episode is auto-shrunk to a minimal repro config. HLS_CHAOS_EPISODES
-# overrides the default 100 when iterating.
+# stack — invariants, drain-to-zero, conservation, phase-sum, conflict matrix
+# vs aborts, dedup drops vs link duplications, byte-identical replay
+# (docs/CHAOS.md). A failing episode is auto-shrunk to a minimal repro
+# config. HLS_CHAOS_EPISODES overrides the default 100 when iterating.
 chaos_episodes=${HLS_CHAOS_EPISODES:-100}
 HLS_CHAOS_EPISODES=$chaos_episodes "./$BUILD/tools/chaos_soak" \
   --seed=20260808 --shrink-out="$BUILD/chaos_repro.conf" >/dev/null
@@ -136,6 +136,22 @@ HLS_CHAOS_EPISODES=$chaos_episodes "./$BUILD/tools/chaos_soak" \
   --seed=20260808 --strategy=adapt:min-average-nsys \
   --shrink-out="$BUILD/chaos_repro_adapt.conf" >/dev/null
 echo "chaos soak: ${chaos_episodes} adapt:-forced episodes passed"
+
+# A repro file is user input: a malformed strategy spec in it must be a
+# one-line error and exit status 2, never a crash or a silent run.
+bad_repro="$BUILD/chaos_bad_strategy.conf"
+printf 'chaos_strategy=static:0.3xyz\nchaos_run_seconds=5\n' >"$bad_repro"
+status=0
+"./$BUILD/tools/chaos_soak" --repro="$bad_repro" >/dev/null \
+  2>"$BUILD/chaos_bad_strategy.err" || status=$?
+if [[ $status -ne 2 || $(wc -l <"$BUILD/chaos_bad_strategy.err") -ne 1 ]] ||
+    ! grep -q "'0.3xyz'" "$BUILD/chaos_bad_strategy.err"; then
+  echo "chaos repro: malformed strategy gave exit $status, expected 2 and one" \
+    "line quoting the token:" >&2
+  cat "$BUILD/chaos_bad_strategy.err" >&2
+  exit 1
+fi
+echo "chaos repro: malformed strategy spec rejected with exit 2"
 
 mark trace
 # Span-trace smoke: trace_inspector end to end on its faulted run with the
@@ -223,7 +239,8 @@ if cmake -B "$ASAN_BUILD" -G Ninja -DHLS_SANITIZE=address -DHLS_WERROR=ON \
       golden_metrics_test conservation_test phase_breakdown_test \
       abort_provenance_test span_trace_test report_test chaos_soak \
       adaptive_test adaptive_controller_test abl_adaptive_routing \
-      rfc_mode_test deadlock_policy_test >/dev/null 2>&1; then
+      rfc_mode_test deadlock_policy_test metrics_test site_metrics_test \
+      >/dev/null 2>&1; then
   HLS_TIME_SCALE=0.05 "./$ASAN_BUILD/bench/abl_fault_tolerance" >/dev/null
   HLS_TIME_SCALE=0.05 "./$ASAN_BUILD/bench/abl_adaptive_routing" >/dev/null
   # The same fixed-seed soak under asan: chaos episodes walk the dedup /
@@ -249,7 +266,10 @@ if cmake -B "$ASAN_BUILD" -G Ninja -DHLS_SANITIZE=address -DHLS_WERROR=ON \
   # the run they were armed for.
   "./$ASAN_BUILD/tests/rfc_mode_test" >/dev/null
   "./$ASAN_BUILD/tests/deadlock_policy_test" >/dev/null
-  echo "asan: abl_fault_tolerance + adaptive gate + chaos soak + golden/conservation/phase/provenance/adaptive/rfc/deadlock suites clean"
+  # Metrics owns the per-site vector every global total walks.
+  "./$ASAN_BUILD/tests/metrics_test" >/dev/null
+  "./$ASAN_BUILD/tests/site_metrics_test" >/dev/null
+  echo "asan: abl_fault_tolerance + adaptive gate + chaos soak + golden/conservation/phase/provenance/adaptive/rfc/deadlock/metrics suites clean"
 else
   echo "asan: unavailable in this toolchain; skipped"
 fi

@@ -4,7 +4,7 @@
 // strategy, composed fault schedule — crashes, link degradation, and
 // message-level chaos) run to drain and checked against the full oracle
 // stack: internal invariants, drain-to-zero, flow conservation, the
-// phase-sum identity, abort-provenance double entry, duplicate-delivery
+// phase-sum identity, the conflict-matrix total, duplicate-delivery
 // accounting, and byte-identical replay. Every quantity is derived from the
 // master seed, so an episode index is a complete bug report.
 //

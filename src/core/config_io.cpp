@@ -93,8 +93,8 @@ bool apply_config_override(SystemConfig& cfg, const std::string& assignment,
     return true;
   }
   if (key == "chaos_strategy") {
-    // Validated by the chaos harness (routing parse_strategy_spec aborts on
-    // unknown names, so the repro runner surfaces a typo immediately).
+    // Validated by parse_chaos_repro, which returns parse_strategy_spec's
+    // message, so the repro runner reports a typo instead of running.
     cfg.chaos_strategy = value;
     return true;
   }

@@ -131,13 +131,13 @@ Table abort_table(const Series& series) {
         .add_num(m.ship_fraction(), 3)
         .add_num(m.runs_per_txn(), 4)
         .add_int(static_cast<long long>(
-            m.aborts[static_cast<int>(AbortCause::LocalPreempted)]))
+            m.aborts(AbortCause::LocalPreempted)))
         .add_int(static_cast<long long>(
-            m.aborts[static_cast<int>(AbortCause::CentralInvalidated)]))
+            m.aborts(AbortCause::CentralInvalidated)))
         .add_int(static_cast<long long>(
-            m.aborts[static_cast<int>(AbortCause::AuthRefused)]))
+            m.aborts(AbortCause::AuthRefused)))
         .add_int(static_cast<long long>(
-            m.aborts[static_cast<int>(AbortCause::Deadlock)]));
+            m.aborts(AbortCause::Deadlock)));
   }
   return table;
 }

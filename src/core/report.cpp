@@ -102,33 +102,33 @@ void abort_breakdown(std::ostream& out, const Metrics& m) {
       << std::setw(8) << "count" << std::setw(14) << "wasted_cpu"
       << std::setw(14) << "wasted_io" << "\n";
   for (int c = 0; c < static_cast<int>(AbortCause::kCount); ++c) {
-    out << "  " << std::left << std::setw(14)
-        << obs::abort_cause_name(static_cast<AbortCause>(c)) << std::right
-        << std::setw(8) << m.aborts[c] << std::setw(14) << std::fixed
-        << std::setprecision(6) << m.wasted_cpu_by_cause[c] << std::setw(14)
-        << m.wasted_io_by_cause[c] << "\n";
+    const auto cause = static_cast<AbortCause>(c);
+    out << "  " << std::left << std::setw(14) << obs::abort_cause_name(cause)
+        << std::right << std::setw(8) << m.aborts(cause) << std::setw(14)
+        << std::fixed << std::setprecision(6) << m.wasted_cpu_by_cause[c]
+        << std::setw(14) << m.wasted_io_by_cause[c] << "\n";
   }
   out << "  " << std::left << std::setw(14) << "total" << std::right
       << std::setw(8) << m.aborts_total() << std::setw(14)
       << m.wasted_cpu_total() << std::setw(14) << m.wasted_io_total() << "\n";
-  out << "  with identified winner: " << m.aborts_with_winner << " of "
+  out << "  with identified winner: " << m.aborts_with_winner() << " of "
       << m.aborts_total() << "\n";
 }
 
 void conflict_matrix(std::ostream& out, const Metrics& m) {
-  if (m.conflict_sites == 0) {
+  if (m.num_sites() == 0) {
     return;
   }
   out << "conflict matrix (rows: victim home site; columns: winner home "
          "site, `-` = no winner)\n";
   out << "  " << std::setw(6) << "";
-  for (int w = 0; w < m.conflict_sites; ++w) {
+  for (int w = 0; w < m.num_sites(); ++w) {
     out << std::setw(6) << w;
   }
   out << std::setw(6) << "-" << "\n";
-  for (int v = 0; v < m.conflict_sites; ++v) {
+  for (int v = 0; v < m.num_sites(); ++v) {
     out << "  " << std::setw(6) << v;
-    for (int w = 0; w <= m.conflict_sites; ++w) {
+    for (int w = 0; w <= m.num_sites(); ++w) {
       out << std::setw(6) << m.conflict(v, w);
     }
     out << "\n";

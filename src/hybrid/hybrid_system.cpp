@@ -22,7 +22,6 @@ HybridSystem::HybridSystem(SystemConfig cfg, std::unique_ptr<RoutingStrategy> st
   central_.locks = std::make_unique<LockManager>(sim_, "central-locks");
 
   sites_.resize(cfg_.num_sites);
-  site_metrics_.resize(cfg_.num_sites);
   for (int s = 0; s < cfg_.num_sites; ++s) {
     SiteState& site = sites_[s];
     site.index = s;
@@ -35,7 +34,7 @@ HybridSystem::HybridSystem(SystemConfig cfg, std::unique_ptr<RoutingStrategy> st
         sim_, rng_.fork("hybrid.site-arrivals"), cfg_.arrival_rate_per_site);
   }
 
-  metrics_.init_conflict_matrix(cfg_.num_sites);
+  metrics_.reset(sim_.now(), cfg_.num_sites);
 
   // Fault injection is armed only for a non-empty schedule so that fault-free
   // configurations fork no extra RNG streams and schedule no extra events —
@@ -160,7 +159,7 @@ void HybridSystem::flush_phase_batch() const {
     }
   }
   for (int i = 0; i < batch.n; ++i) {
-    SiteMetrics& sm = self->site_metrics_[batch.home_site[i]];
+    SiteMetrics& sm = self->metrics_.sites[batch.home_site[i]];
     for (int p = 0; p < obs::kPhaseCount; ++p) {
       sm.rt_phase[static_cast<std::size_t>(p)].add(batch.value[p][i]);
     }
@@ -170,14 +169,10 @@ void HybridSystem::flush_phase_batch() const {
 
 void HybridSystem::begin_measurement() {
   phase_batch_.n = 0;  // staged pre-window completions are out of scope
-  metrics_.reset(sim_.now());
-  metrics_.init_conflict_matrix(cfg_.num_sites);  // reset() wiped the sizing
+  metrics_.reset(sim_.now(), cfg_.num_sites);
   central_.cpu->reset_stats();
   for (SiteState& site : sites_) {
     site.cpu->reset_stats();
-  }
-  for (SiteMetrics& sm : site_metrics_) {
-    sm = SiteMetrics{};
   }
   series_.clear();  // the time series covers the measurement window only
   if (resource_telemetry_ || cfg_.obs_heat_buckets > 0) {
@@ -450,8 +445,7 @@ void HybridSystem::deliver_in_order(MsgSequencer& q, int site,
   if (seq < q.next_deliver) {
     // Already processed: a duplicate delivery. The handler never runs, so
     // every protocol step behind a sequence number is exactly-once.
-    ++metrics_.dup_msgs_dropped;
-    ++site_metrics_[site].dup_msgs_dropped;
+    ++metrics_.sites[site].dup_msgs_dropped;
     return;
   }
   if (seq > q.next_deliver) {
@@ -462,12 +456,10 @@ void HybridSystem::deliver_in_order(MsgSequencer& q, int site,
         q.held.begin(), q.held.end(), seq,
         [](const auto& entry, std::uint64_t s) { return entry.first < s; });
     if (it != q.held.end() && it->first == seq) {
-      ++metrics_.dup_msgs_dropped;
-      ++site_metrics_[site].dup_msgs_dropped;
+      ++metrics_.sites[site].dup_msgs_dropped;
       return;
     }
-    ++metrics_.msgs_resequenced;
-    ++site_metrics_[site].msgs_resequenced;
+    ++metrics_.sites[site].msgs_resequenced;
     q.held.emplace(it, seq, std::move(process));
     return;
   }
@@ -512,7 +504,7 @@ void HybridSystem::complete(Transaction* txn, SimTime completion_time) {
   metrics_.max_reruns_seen = std::max(metrics_.max_reruns_seen, txn->run_count);
 
   SiteState& home = sites_[txn->home_site];
-  SiteMetrics& home_metrics = site_metrics_[txn->home_site];
+  SiteMetrics& home_metrics = metrics_.sites[txn->home_site];
   if (txn->cls == TxnClass::B) {
     metrics_.rt_class_b.add(rt);
     ++metrics_.completions_class_b;
@@ -651,15 +643,10 @@ void HybridSystem::prepare_rerun(Transaction* txn, AbortCause cause) {
   }
 
   txn->count_abort(cause);
-  ++metrics_.aborts[static_cast<int>(cause)];
-  ++metrics_.reruns;
-  if (winner != kInvalidTxn && winner_site >= 0) {
-    ++metrics_.aborts_with_winner;  // matches the conflict matrix's winner columns
-  }
   metrics_.wasted_cpu_by_cause[static_cast<int>(cause)] += attempt_cpu;
   metrics_.wasted_io_by_cause[static_cast<int>(cause)] += attempt_io;
   metrics_.record_conflict(txn->home_site, winner_site);
-  SiteMetrics& home_metrics = site_metrics_[txn->home_site];
+  SiteMetrics& home_metrics = metrics_.sites[txn->home_site];
   ++home_metrics.aborts[static_cast<int>(cause)];
   home_metrics.wasted_cpu += attempt_cpu;
   home_metrics.wasted_io += attempt_io;
@@ -737,12 +724,11 @@ void HybridSystem::admit(Transaction* t) {
     return;
   }
 
-  ++metrics_.arrivals_class_a;
-  ++site_metrics_[t->home_site].arrivals_class_a;
+  SiteMetrics& home_metrics = metrics_.sites[t->home_site];
+  ++home_metrics.arrivals_class_a;
   t->route = strategy_->decide(*t, make_state_view(t->home_site));
   if (t->route == Route::Central) {
-    ++metrics_.shipped_class_a;
-    ++site_metrics_[t->home_site].shipped_class_a;
+    ++home_metrics.shipped_class_a;
     ++home.shipped_in_flight;
     arm_ship_timeout(t);
     ship_to_central(t);
@@ -776,12 +762,6 @@ SystemStateView HybridSystem::make_state_view(int site) const {
     view.central_cpu_queue = s.central_view.cpu_queue;
     view.central_num_txns = s.central_view.num_txns;
     view.central_locks_held = s.central_view.locks_held;
-  }
-  const double window = sim_.now() - metrics_.measure_start;
-  for (int c = 0; c < static_cast<int>(AbortCause::kCount); ++c) {
-    view.aborts_by_cause[c] = metrics_.aborts[c];
-    view.abort_rate_by_cause[c] =
-        window > 0.0 ? static_cast<double>(metrics_.aborts[c]) / window : 0.0;
   }
   view.last_sample = series_.empty() ? nullptr : &series_.back();
   return view;
@@ -1653,8 +1633,7 @@ void HybridSystem::on_ship_timeout(TxnId id, std::uint64_t attempt) {
     // central execution proceeds (or waits out a central outage) normally.
     return;
   }
-  ++metrics_.ship_timeouts;
-  ++site_metrics_[txn->home_site].ship_timeouts;
+  ++metrics_.sites[txn->home_site].ship_timeouts;
   ++txn->ship_attempt;
 
   // Reclaim convention for the timeline: whatever the central incarnation
@@ -1676,16 +1655,14 @@ void HybridSystem::on_ship_timeout(TxnId id, std::uint64_t attempt) {
 
   if (txn->ship_retries < cfg_.ship_max_retries) {
     ++txn->ship_retries;
-    ++metrics_.ship_retries;
-    ++site_metrics_[txn->home_site].ship_retries;
+    ++metrics_.sites[txn->home_site].ship_retries;
     arm_ship_timeout(txn);  // backoff: next timeout is ship_backoff x longer
     ship_to_central(txn);
     return;
   }
   // Retry budget exhausted: fall back to local execution. The transaction
   // moves from the shipped to the local books and keeps its abort history.
-  ++metrics_.ship_fallbacks;
-  ++site_metrics_[txn->home_site].ship_fallbacks;
+  ++metrics_.sites[txn->home_site].ship_fallbacks;
   SiteState& home = sites_[txn->home_site];
   --home.shipped_in_flight;
   ++home.resident_txns;
@@ -1714,7 +1691,7 @@ int HybridSystem::local_resident(int site) const {
 const SiteMetrics& HybridSystem::site_metrics(int site) const {
   HLS_ASSERT(site >= 0 && site < cfg_.num_sites, "site index out of range");
   flush_phase_batch();
-  return site_metrics_[site];
+  return metrics_.sites[site];
 }
 
 int HybridSystem::shipped_in_flight(int site) const {
@@ -1795,78 +1772,14 @@ void HybridSystem::check_invariants() const {
                "live central complex has unreplayed backlog or recovery queue");
   }
 
-  // Class-A traffic counters are double-entry bookkeeping too: every
-  // arrival and every ship is attributed to its home site at the same
-  // instant the global tally moves.
-  std::uint64_t site_arrivals_a = 0;
-  std::uint64_t site_shipped_a = 0;
-  for (const SiteMetrics& sm : site_metrics_) {
-    site_arrivals_a += sm.arrivals_class_a;
-    site_shipped_a += sm.shipped_class_a;
-  }
-  HLS_ASSERT(metrics_.arrivals_class_a == site_arrivals_a,
-             "global arrivals_class_a disagrees with sum over sites");
-  HLS_ASSERT(metrics_.shipped_class_a == site_shipped_a,
-             "global shipped_class_a disagrees with sum over sites");
-
-  // Fault counters are double-entry bookkeeping: the global tally and the
-  // per-home-site attribution must agree exactly.
-  std::uint64_t site_timeouts = 0;
-  std::uint64_t site_retries = 0;
-  std::uint64_t site_fallbacks = 0;
-  for (const SiteMetrics& sm : site_metrics_) {
-    site_timeouts += sm.ship_timeouts;
-    site_retries += sm.ship_retries;
-    site_fallbacks += sm.ship_fallbacks;
-  }
-  HLS_ASSERT(metrics_.ship_timeouts == site_timeouts,
-             "global ship_timeouts disagrees with sum over sites");
-  HLS_ASSERT(metrics_.ship_retries == site_retries,
-             "global ship_retries disagrees with sum over sites");
-  HLS_ASSERT(metrics_.ship_fallbacks == site_fallbacks,
-             "global ship_fallbacks disagrees with sum over sites");
-  std::uint64_t site_dup_drops = 0;
-  std::uint64_t site_resequenced = 0;
-  for (const SiteMetrics& sm : site_metrics_) {
-    site_dup_drops += sm.dup_msgs_dropped;
-    site_resequenced += sm.msgs_resequenced;
-  }
-  HLS_ASSERT(metrics_.dup_msgs_dropped == site_dup_drops,
-             "global dup_msgs_dropped disagrees with sum over sites");
-  HLS_ASSERT(metrics_.msgs_resequenced == site_resequenced,
-             "global msgs_resequenced disagrees with sum over sites");
-
-  // Abort provenance is double-entry bookkeeping too. Per cause: the global
-  // tally equals the sum of the victims' home-site tallies; overall: every
-  // abort is a rerun, lands in exactly one conflict-matrix cell, and the
-  // winner columns account for exactly the aborts that named a winner.
-  std::uint64_t cause_total = 0;
-  for (int c = 0; c < static_cast<int>(AbortCause::kCount); ++c) {
-    std::uint64_t site_sum = 0;
-    for (const SiteMetrics& sm : site_metrics_) {
-      site_sum += sm.aborts[c];
-    }
-    HLS_ASSERT(metrics_.aborts[c] == site_sum,
-               "global per-cause aborts disagree with sum over sites");
-    cause_total += metrics_.aborts[c];
-  }
-  HLS_ASSERT(cause_total == metrics_.reruns,
-             "sum of aborts over causes disagrees with total reruns");
-  if (metrics_.conflict_sites > 0) {
-    HLS_ASSERT(metrics_.conflict_matrix_total() == cause_total,
-               "conflict matrix total disagrees with total aborts");
-    std::uint64_t winner_cells = 0;
-    for (int v = 0; v < metrics_.conflict_sites; ++v) {
-      for (int w = 0; w < metrics_.conflict_sites; ++w) {
-        winner_cells += metrics_.conflict(v, w);
-      }
-    }
-    HLS_ASSERT(winner_cells == metrics_.aborts_with_winner,
-               "conflict-matrix winner columns disagree with aborts_with_winner");
-  }
+  // Every abort lands in exactly one conflict-matrix cell, and the per-site
+  // wasted-work ledgers agree with the per-cause ones (float sums taken in
+  // different orders, hence the tolerance).
+  HLS_ASSERT(metrics_.conflict_matrix_total() == metrics_.aborts_total(),
+             "conflict matrix total disagrees with total aborts");
   double site_wasted_cpu = 0.0;
   double site_wasted_io = 0.0;
-  for (const SiteMetrics& sm : site_metrics_) {
+  for (const SiteMetrics& sm : metrics_.sites) {
     site_wasted_cpu += sm.wasted_cpu;
     site_wasted_io += sm.wasted_io;
   }
@@ -1954,19 +1867,17 @@ void HybridSystem::take_sample() {
 namespace {
 
 constexpr int cause_idx(AbortCause c) { return static_cast<int>(c); }
-constexpr int kCauseCount = static_cast<int>(AbortCause::kCount);
 
 /// Registers the six per-cause abort counters under `sc` with the stable
-/// literal names matching obs::abort_cause_name.
-void export_abort_counters(const obs::Registry::Scope& sc,
-                           const std::uint64_t (&aborts)[kCauseCount]) {
-  sc.counter("aborts.preempted", aborts[cause_idx(AbortCause::LocalPreempted)]);
-  sc.counter("aborts.invalidated",
-             aborts[cause_idx(AbortCause::CentralInvalidated)]);
-  sc.counter("aborts.auth_refused", aborts[cause_idx(AbortCause::AuthRefused)]);
-  sc.counter("aborts.deadlock", aborts[cause_idx(AbortCause::Deadlock)]);
-  sc.counter("aborts.ship_timeout", aborts[cause_idx(AbortCause::ShipTimeout)]);
-  sc.counter("aborts.crash", aborts[cause_idx(AbortCause::Crash)]);
+/// literal names matching obs::abort_cause_name; `aborts(cause)` reads one.
+template <typename PerCause>
+void export_abort_counters(const obs::Registry::Scope& sc, PerCause aborts) {
+  sc.counter("aborts.preempted", aborts(AbortCause::LocalPreempted));
+  sc.counter("aborts.invalidated", aborts(AbortCause::CentralInvalidated));
+  sc.counter("aborts.auth_refused", aborts(AbortCause::AuthRefused));
+  sc.counter("aborts.deadlock", aborts(AbortCause::Deadlock));
+  sc.counter("aborts.ship_timeout", aborts(AbortCause::ShipTimeout));
+  sc.counter("aborts.crash", aborts(AbortCause::Crash));
 }
 
 /// CPU + lock-manager entries shared by the central scope and every site
@@ -2007,21 +1918,21 @@ void HybridSystem::export_registry(obs::Registry& reg) const {
   const obs::Registry::Scope root = reg.root();
 
   // ---- transaction flow counters ----
-  root.counter("txn.arrivals.class_a", m.arrivals_class_a, "txns");
+  root.counter("txn.arrivals.class_a", m.arrivals_class_a(), "txns");
   root.counter("txn.arrivals.class_b", m.arrivals_class_b, "txns");
-  root.counter("txn.shipped.class_a", m.shipped_class_a, "txns");
+  root.counter("txn.shipped.class_a", m.shipped_class_a(), "txns");
   root.counter("txn.completions", m.completions, "txns");
   root.counter("txn.completions.local_a", m.completions_local_a, "txns");
   root.counter("txn.completions.shipped_a", m.completions_shipped_a, "txns");
   root.counter("txn.completions.class_b", m.completions_class_b, "txns");
-  root.counter("txn.reruns", m.reruns, "runs");
+  root.counter("txn.reruns", m.aborts_total(), "runs");
   root.gauge("txn.live", static_cast<double>(arena_.live_count()), "txns");
   root.gauge("txn.max_reruns_seen", static_cast<double>(m.max_reruns_seen),
              "runs");
 
   // ---- abort provenance ----
-  export_abort_counters(root, m.aborts);
-  root.counter("aborts.with_winner", m.aborts_with_winner, "txns");
+  export_abort_counters(root, [&m](AbortCause c) { return m.aborts(c); });
+  root.counter("aborts.with_winner", m.aborts_with_winner(), "txns");
   root.gauge("wasted.cpu.total", m.wasted_cpu_total(), "s");
   root.gauge("wasted.io.total", m.wasted_io_total(), "s");
   root.stat("wasted.per_txn", m.wasted_per_txn, "s");
@@ -2032,17 +1943,17 @@ void HybridSystem::export_registry(obs::Registry& reg) const {
   root.counter("auth.negative_acks", m.auth_negative_acks, "acks");
 
   // ---- fault handling / message-level chaos defenses ----
-  root.counter("fault.ship_timeouts", m.ship_timeouts);
-  root.counter("fault.ship_retries", m.ship_retries);
-  root.counter("fault.ship_fallbacks", m.ship_fallbacks);
+  root.counter("fault.ship_timeouts", m.ship_timeouts());
+  root.counter("fault.ship_retries", m.ship_retries());
+  root.counter("fault.ship_fallbacks", m.ship_fallbacks());
   root.counter("fault.central_crashes", m.central_crashes);
   root.counter("fault.central_recoveries", m.central_recoveries);
   root.counter("fault.site_crashes", m.site_crashes);
   root.counter("fault.site_recoveries", m.site_recoveries);
   root.counter("fault.backlog_replayed", m.backlog_replayed, "msgs");
   root.counter("fault.arrivals_rejected", m.arrivals_rejected, "txns");
-  root.counter("chaos.dup_msgs_dropped", m.dup_msgs_dropped, "msgs");
-  root.counter("chaos.msgs_resequenced", m.msgs_resequenced, "msgs");
+  root.counter("chaos.dup_msgs_dropped", m.dup_msgs_dropped(), "msgs");
+  root.counter("chaos.msgs_resequenced", m.msgs_resequenced(), "msgs");
 
   // ---- response-time statistics ----
   root.stat("rt.all", m.rt_all, "s");
@@ -2083,7 +1994,7 @@ void HybridSystem::export_registry(obs::Registry& reg) const {
   // ---- per-site breakdowns ----
   for (int s = 0; s < cfg_.num_sites; ++s) {
     const SiteState& site = sites_[static_cast<std::size_t>(s)];
-    const SiteMetrics& sm = site_metrics_[static_cast<std::size_t>(s)];
+    const SiteMetrics& sm = m.sites[static_cast<std::size_t>(s)];
     const obs::Registry::Scope sc = reg.site(s);
     export_resource(sc, *site.cpu, *site.locks, resource_telemetry_,
                     site.io_in_flight, site.io_tw, now);
@@ -2094,7 +2005,8 @@ void HybridSystem::export_registry(obs::Registry& reg) const {
     sc.gauge("txn.resident", static_cast<double>(site.resident_txns), "txns");
     sc.gauge("txn.shipped_in_flight",
              static_cast<double>(site.shipped_in_flight), "txns");
-    export_abort_counters(sc, sm.aborts);
+    export_abort_counters(
+        sc, [&sm](AbortCause c) { return sm.aborts[cause_idx(c)]; });
     sc.gauge("wasted.cpu", sm.wasted_cpu, "s");
     sc.gauge("wasted.io", sm.wasted_io, "s");
     sc.counter("fault.ship_timeouts", sm.ship_timeouts);
@@ -2127,7 +2039,7 @@ ControllerFeed HybridSystem::make_controller_feed() const {
   feed.rt_local_a_sum = metrics_.rt_local_a.sum();
   feed.rt_shipped_a_sum = metrics_.rt_shipped_a.sum();
   for (int c = 0; c < static_cast<int>(AbortCause::kCount); ++c) {
-    feed.aborts_by_cause[c] = metrics_.aborts[c];
+    feed.aborts_by_cause[c] = metrics_.aborts(static_cast<AbortCause>(c));
     feed.wasted_cpu_by_cause[c] = metrics_.wasted_cpu_by_cause[c];
     feed.wasted_io_by_cause[c] = metrics_.wasted_io_by_cause[c];
   }

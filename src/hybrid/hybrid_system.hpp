@@ -174,8 +174,8 @@ class HybridSystem {
   };
   [[nodiscard]] LinkFaultTotals link_fault_totals() const;
 
-  /// Per-site response-time / shipping breakdown (same measurement window
-  /// as metrics()).
+  /// metrics().sites[site], range-checked: the site's response-time,
+  /// shipping, fault and abort breakdown.
   [[nodiscard]] const SiteMetrics& site_metrics(int site) const;
 
   /// Registers a hook invoked on every transaction completion (tracing,
@@ -501,9 +501,10 @@ class HybridSystem {
     double value[obs::kPhaseCount][kCapacity];
     int home_site[kCapacity];
   };
-  /// Drains phase_batch_ into metrics_ / site_metrics_. Const because the
-  /// staged samples are already logically part of the metrics; flushing only
-  /// materializes them, which is why the read accessors may call it.
+  /// Drains phase_batch_ into metrics_ and its per-site entries. Const
+  /// because the staged samples are already logically part of the metrics;
+  /// flushing only materializes them, which is why the read accessors may
+  /// call it.
   void flush_phase_batch() const;
 
   SystemConfig cfg_;
@@ -515,7 +516,6 @@ class HybridSystem {
   std::vector<SiteState> sites_;
   CentralState central_;
   Metrics metrics_;
-  std::vector<SiteMetrics> site_metrics_;
   mutable PhaseBatch phase_batch_;
   CompletionHook completion_hook_;
   std::vector<obs::TraceSink*> sinks_;

@@ -1,5 +1,8 @@
 #include "routing/factory.hpp"
 
+#include <algorithm>
+#include <cstdlib>
+#include <iterator>
 #include <utility>
 
 #include "model/static_optimizer.hpp"
@@ -47,6 +50,42 @@ std::unique_ptr<RoutingStrategy> make_base_strategy(const StrategySpec& spec,
   return nullptr;
 }
 
+std::optional<StrategySpec> fail(std::string* error, std::string message) {
+  if (error != nullptr) {
+    *error = std::move(message);
+  }
+  return std::nullopt;
+}
+
+/// Parses all of `token` as a number; false on an empty token or trailing
+/// characters ("0.3xyz").
+bool parse_number(const std::string& token, double* out) {
+  if (token.empty()) {
+    return false;
+  }
+  char* end = nullptr;
+  *out = std::strtod(token.c_str(), &end);
+  return end == token.c_str() + token.size();
+}
+
+std::string bad_number(const std::string& token, const std::string& text) {
+  return "bad number '" + token + "' in strategy spec '" + text + "'";
+}
+
+constexpr std::pair<const char*, StrategyKind> kNames[] = {
+    {"no-load-sharing", StrategyKind::NoLoadSharing},
+    {"always-central", StrategyKind::AlwaysCentral},
+    {"static-optimal", StrategyKind::StaticOptimal},
+    {"static", StrategyKind::StaticProbability},
+    {"measured-rt", StrategyKind::MeasuredRt},
+    {"queue-length", StrategyKind::QueueLength},
+    {"util-threshold", StrategyKind::UtilThreshold},
+    {"min-incoming-queue", StrategyKind::MinIncomingQueue},
+    {"min-incoming-nsys", StrategyKind::MinIncomingNsys},
+    {"min-average-queue", StrategyKind::MinAverageQueue},
+    {"min-average-nsys", StrategyKind::MinAverageNsys},
+};
+
 }  // namespace
 
 std::unique_ptr<RoutingStrategy> make_strategy(const StrategySpec& spec,
@@ -64,71 +103,64 @@ std::unique_ptr<RoutingStrategy> make_strategy(const StrategySpec& spec,
   return strategy;
 }
 
-StrategySpec parse_strategy_spec(const std::string& text) {
-  if (text.rfind("failsafe", 0) == 0) {
-    // "failsafe:<inner>" or "failsafe@<max_info_age>:<inner>".
-    const auto colon = text.find(':');
-    HLS_ASSERT(colon != std::string::npos, "failsafe needs an inner strategy");
-    double max_info_age = 0.0;
-    const std::string head = text.substr(0, colon);
-    if (head.size() > 8) {
-      HLS_ASSERT(head[8] == '@',
-                 ("unknown strategy spec '" + text + "'").c_str());
-      max_info_age = std::stod(head.substr(9));
-      HLS_ASSERT(max_info_age >= 0.0, "negative failsafe staleness limit");
-    }
-    StrategySpec spec = parse_strategy_spec(text.substr(colon + 1));
-    spec.failure_aware = true;
-    spec.failsafe_max_info_age = max_info_age;
-    return spec;
-  }
-  if (text.rfind("adapt:", 0) == 0 || text.rfind("adapt@", 0) == 0) {
-    // "adapt:<inner>" or "adapt@<interval>:<inner>".
-    const auto colon = text.find(':');
-    HLS_ASSERT(colon != std::string::npos,
-               ("strategy spec '" + text + "' needs an inner strategy").c_str());
-    double interval = 0.0;
-    const std::string head = text.substr(0, colon);
-    if (head.size() > 5) {
-      interval = std::stod(head.substr(6));
-      HLS_ASSERT(interval > 0.0, "adapt interval override must be positive");
-    }
-    StrategySpec spec = parse_strategy_spec(text.substr(colon + 1));
-    spec.adaptive = true;
-    spec.adapt_interval_override = interval;
-    return spec;
-  }
+std::optional<StrategySpec> parse_strategy_spec(const std::string& text,
+                                                std::string* error) {
   const auto colon = text.find(':');
   const std::string head = text.substr(0, colon);
-  const double param =
-      colon == std::string::npos ? 0.0 : std::stod(text.substr(colon + 1));
-  StrategySpec spec;
-  spec.parameter = param;
-  if (head == "no-load-sharing") {
-    spec.kind = StrategyKind::NoLoadSharing;
-  } else if (head == "always-central") {
-    spec.kind = StrategyKind::AlwaysCentral;
-  } else if (head == "static-optimal") {
-    spec.kind = StrategyKind::StaticOptimal;
-  } else if (head == "static") {
-    spec.kind = StrategyKind::StaticProbability;
-  } else if (head == "measured-rt") {
-    spec.kind = StrategyKind::MeasuredRt;
-  } else if (head == "queue-length") {
-    spec.kind = StrategyKind::QueueLength;
-  } else if (head == "util-threshold") {
-    spec.kind = StrategyKind::UtilThreshold;
-  } else if (head == "min-incoming-queue") {
-    spec.kind = StrategyKind::MinIncomingQueue;
-  } else if (head == "min-incoming-nsys") {
-    spec.kind = StrategyKind::MinIncomingNsys;
-  } else if (head == "min-average-queue") {
-    spec.kind = StrategyKind::MinAverageQueue;
-  } else if (head == "min-average-nsys") {
-    spec.kind = StrategyKind::MinAverageNsys;
-  } else {
+  const bool failsafe = head == "failsafe" || head.rfind("failsafe@", 0) == 0;
+  const bool adapt = head == "adapt" || head.rfind("adapt@", 0) == 0;
+  if (failsafe || adapt) {
+    // "<wrapper>:<inner>" or "<wrapper>@<number>:<inner>".
+    if (colon == std::string::npos) {
+      return fail(error,
+                  "strategy spec '" + text + "' needs an inner strategy");
+    }
+    const auto at = head.find('@');
+    double value = 0.0;
+    if (at != std::string::npos) {
+      const std::string token = head.substr(at + 1);
+      if (!parse_number(token, &value)) {
+        return fail(error, bad_number(token, text));
+      }
+      if (failsafe ? !(value >= 0.0) : !(value > 0.0)) {
+        return fail(error, (failsafe ? "negative failsafe staleness limit '"
+                                     : "non-positive adapt interval '") +
+                               token + "' in strategy spec '" + text + "'");
+      }
+    }
+    std::optional<StrategySpec> spec =
+        parse_strategy_spec(text.substr(colon + 1), error);
+    if (!spec.has_value()) {
+      return spec;
+    }
+    if (failsafe) {
+      spec->failure_aware = true;
+      spec->failsafe_max_info_age = value;
+    } else {
+      spec->adaptive = true;
+      spec->adapt_interval_override = value;
+    }
+    return spec;
+  }
+  const auto* named =
+      std::find_if(std::begin(kNames), std::end(kNames),
+                   [&head](const auto& n) { return head == n.first; });
+  if (named == std::end(kNames)) {
     // Echo the offending token verbatim, like config_io's unknown-key lines.
-    HLS_ASSERT(false, ("unknown strategy spec '" + text + "'").c_str());
+    return fail(error, "unknown strategy spec '" + text + "'");
+  }
+  StrategySpec spec;
+  spec.kind = named->second;
+  if (colon != std::string::npos) {
+    const std::string token = text.substr(colon + 1);
+    if (!parse_number(token, &spec.parameter)) {
+      return fail(error, bad_number(token, text));
+    }
+  }
+  if (spec.kind == StrategyKind::StaticProbability &&
+      !(spec.parameter >= 0.0 && spec.parameter <= 1.0)) {
+    return fail(error, "ship probability in strategy spec '" + text +
+                           "' is outside [0,1]");
   }
   return spec;
 }

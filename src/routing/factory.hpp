@@ -3,6 +3,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,9 +59,12 @@ struct StrategySpec {
 /// "failsafe@2.5:queue-length"); an "adapt:" or "adapt@<interval>:" prefix
 /// wraps it in AdaptiveControllerStrategy (e.g. "adapt:util-threshold:0",
 /// "adapt@1.5:failsafe:min-average-nsys"). Wrap order is always base ->
-/// adapt -> failsafe regardless of prefix order. Aborts on unknown names,
-/// quoting the offending token.
-[[nodiscard]] StrategySpec parse_strategy_spec(const std::string& text);
+/// adapt -> failsafe regardless of prefix order. Returns nullopt on an
+/// unknown name, a malformed number (trailing characters included) or an
+/// out-of-range value, with a message quoting the offending token in
+/// `*error`.
+[[nodiscard]] std::optional<StrategySpec> parse_strategy_spec(
+    const std::string& text, std::string* error = nullptr);
 
 /// All strategy kinds in presentation order with display labels.
 [[nodiscard]] std::vector<std::pair<StrategySpec, std::string>>

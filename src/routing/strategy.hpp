@@ -41,22 +41,6 @@ struct SystemStateView {
   // ---- failure detection (fault injection; always true without it) ----
   bool central_reachable = true;  ///< central complex currently up
 
-  // ---- abort provenance (measurement window so far; fresh) ----
-  /// Aborts per cause since the window opened, and their rate per second of
-  /// window time — conflict telemetry for adaptive strategies that want to
-  /// back off shipping when invalidations dominate, or stop routing locally
-  /// when preemptions do.
-  std::uint64_t aborts_by_cause[static_cast<int>(AbortCause::kCount)] = {};
-  double abort_rate_by_cause[static_cast<int>(AbortCause::kCount)] = {};
-
-  [[nodiscard]] std::uint64_t aborts_total() const {
-    std::uint64_t sum = 0;
-    for (std::uint64_t a : aborts_by_cause) {
-      sum += a;
-    }
-    return sum;
-  }
-
   // ---- observability (null unless obs_sample_interval > 0) ----
   /// Most recent time-series sample, if the sampler has fired yet. Borrowed
   /// from the system; valid only for the duration of the decide() call.

@@ -9,6 +9,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/chaos.hpp"
@@ -100,13 +101,13 @@ ChaosEpisode injected_bug_episode() {
       {FaultKind::MsgFault, -1, 6.5, 0.5, 1.0, 0.0, 0.4, 0.4, 0.2, 2.0});
   e.config.chaos_strategy = "always-central";
   e.config.chaos_run_seconds = 8.0;
-  e.strategy = parse_strategy_spec(e.config.chaos_strategy);
+  e.strategy = parse_strategy_spec(e.config.chaos_strategy).value();
   return e;
 }
 
 ChaosOracle no_fallback_oracle() {
   return [](const HybridSystem& sys, std::vector<std::string>& failures) {
-    if (sys.metrics().ship_fallbacks > 0) {
+    if (sys.metrics().ship_fallbacks() > 0) {
       failures.push_back("injected bug: ship fallback observed");
     }
   };
@@ -181,6 +182,26 @@ TEST(Chaos, ParseReproRejectsMalformedConfig) {
   std::string error;
   EXPECT_FALSE(parse_chaos_repro(in, &error).has_value());
   EXPECT_NE(error.find("definitely_not_a_key"), std::string::npos);
+}
+
+TEST(Chaos, ParseReproRejectsMalformedStrategy) {
+  // Each of these used to kill the process (an uncaught std::stod exception
+  // or an HLS_ASSERT) or, for the trailing characters, silently run as
+  // static:0.3.
+  const std::pair<const char*, const char*> cases[] = {
+      {"static:abc", "'abc'"},
+      {"failsafe@x:queue-length", "'x'"},
+      {"min-averge-nsys", "'min-averge-nsys'"},
+      {"static:0.3xyz", "'0.3xyz'"},
+  };
+  for (const auto& [spec, token] : cases) {
+    std::istringstream in(std::string("chaos_strategy=") + spec +
+                          "\nchaos_run_seconds=5\n");
+    std::string error;
+    EXPECT_FALSE(parse_chaos_repro(in, &error).has_value()) << spec;
+    EXPECT_NE(error.find(token), std::string::npos) << spec << ": " << error;
+    EXPECT_EQ(error.find('\n'), std::string::npos) << error;
+  }
 }
 
 // Regression pin for the first real bug the soak found (seed 99, episode

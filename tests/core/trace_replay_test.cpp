@@ -68,9 +68,9 @@ TEST(TraceReplay, InjectsAtScheduledTimes) {
   ASSERT_TRUE(trace.has_value());
   EXPECT_EQ(replay_trace(sys, *trace), 2u);
   sys.simulator().run_until(0.9);
-  EXPECT_EQ(sys.metrics().arrivals_class_a, 0u);
+  EXPECT_EQ(sys.metrics().arrivals_class_a(), 0u);
   sys.simulator().run_until(1.1);
-  EXPECT_EQ(sys.metrics().arrivals_class_a, 1u);
+  EXPECT_EQ(sys.metrics().arrivals_class_a(), 1u);
   sys.simulator().run();
   EXPECT_EQ(sys.metrics().completions, 2u);
 }

@@ -58,8 +58,8 @@ TEST(AbortProvenance, LocalPreemptionNamesAuthWinnerAndExactWaste) {
 
   const Metrics& m = sys.metrics();
   EXPECT_EQ(m.completions, 2u);
-  ASSERT_EQ(m.aborts[static_cast<int>(AbortCause::LocalPreempted)], 1u);
-  EXPECT_EQ(m.aborts_with_winner, 1u);
+  ASSERT_EQ(m.aborts(AbortCause::LocalPreempted), 1u);
+  EXPECT_EQ(m.aborts_with_winner(), 1u);
   // Victim homed at site 0, winner homed at site 0.
   EXPECT_EQ(m.conflict(0, 0), 1u);
   EXPECT_EQ(m.conflict_matrix_total(), 1u);
@@ -107,7 +107,7 @@ TEST(AbortProvenance, CentralInvalidationNamesTheCommitter) {
 
   const Metrics& m = sys.metrics();
   EXPECT_EQ(m.completions, 2u);
-  ASSERT_GE(m.aborts[static_cast<int>(AbortCause::CentralInvalidated)], 1u);
+  ASSERT_GE(m.aborts(AbortCause::CentralInvalidated), 1u);
 
   const std::vector<obs::Event> aborts = abort_events(ring);
   ASSERT_FALSE(aborts.empty());
@@ -119,7 +119,7 @@ TEST(AbortProvenance, CentralInvalidationNamesTheCommitter) {
   EXPECT_GT(e.wasted_cpu + e.wasted_io, 0.0);
   // Victim row 5, winner column 0.
   EXPECT_GE(m.conflict(5, 0), 1u);
-  EXPECT_GE(m.aborts_with_winner, 1u);
+  EXPECT_GE(m.aborts_with_winner(), 1u);
   sys.check_invariants();
 }
 
@@ -176,7 +176,7 @@ TEST(AbortProvenance, WinnerAttributionIsConsistentUnderContention) {
     ASSERT_GE(e.wasted_io, 0.0);
     ASSERT_LE(e.wasted_cpu + e.wasted_io, e.time - e.arrival_time + 1e-9);
   }
-  EXPECT_EQ(named, m.aborts_with_winner);
+  EXPECT_EQ(named, m.aborts_with_winner());
   EXPECT_GT(named, 0u);
   sys.check_invariants();
 }
@@ -200,9 +200,9 @@ TEST(AbortProvenance, CoherenceRefusalHasNoWinner) {
 
   const Metrics& m = sys.metrics();
   EXPECT_EQ(m.completions, 2u);
-  ASSERT_GE(m.aborts[static_cast<int>(AbortCause::AuthRefused)], 1u);
-  EXPECT_EQ(m.aborts_with_winner, 0u);
-  EXPECT_GE(m.conflict(0, m.conflict_sites), 1u);  // the `-` column
+  ASSERT_GE(m.aborts(AbortCause::AuthRefused), 1u);
+  EXPECT_EQ(m.aborts_with_winner(), 0u);
+  EXPECT_GE(m.conflict(0, m.num_sites()), 1u);  // the `-` column
 
   const std::vector<obs::Event> aborts = abort_events(ring);
   ASSERT_FALSE(aborts.empty());
@@ -228,7 +228,7 @@ TEST(AbortProvenance, DeadlockVictimNamesSurvivingCycleMember) {
 
   const Metrics& m = sys.metrics();
   EXPECT_EQ(m.completions, 2u);
-  ASSERT_GE(m.aborts[static_cast<int>(AbortCause::Deadlock)], 1u);
+  ASSERT_GE(m.aborts(AbortCause::Deadlock), 1u);
 
   const std::vector<obs::Event> aborts = abort_events(ring);
   ASSERT_FALSE(aborts.empty());
@@ -239,7 +239,7 @@ TEST(AbortProvenance, DeadlockVictimNamesSurvivingCycleMember) {
   EXPECT_NE(e.winner, e.txn);
   EXPECT_TRUE(e.winner == 1u || e.winner == 2u);
   EXPECT_EQ(e.winner_site, 0);
-  EXPECT_GE(m.aborts_with_winner, 1u);
+  EXPECT_GE(m.aborts_with_winner(), 1u);
   sys.check_invariants();
 }
 
@@ -260,9 +260,9 @@ TEST(AbortProvenance, CrashAbortHasNoWinner) {
 
   const Metrics& m = sys.metrics();
   EXPECT_EQ(m.completions, 1u);
-  ASSERT_GE(m.aborts[static_cast<int>(AbortCause::Crash)], 1u);
-  EXPECT_EQ(m.aborts_with_winner, 0u);
-  EXPECT_GE(m.conflict(0, m.conflict_sites), 1u);
+  ASSERT_GE(m.aborts(AbortCause::Crash), 1u);
+  EXPECT_EQ(m.aborts_with_winner(), 0u);
+  EXPECT_GE(m.conflict(0, m.num_sites()), 1u);
 
   const std::vector<obs::Event> aborts = abort_events(ring);
   ASSERT_FALSE(aborts.empty());

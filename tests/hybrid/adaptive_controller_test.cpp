@@ -22,8 +22,8 @@ bool repin_mode() { return std::getenv("HLS_REPIN") != nullptr; }
 std::unique_ptr<RoutingStrategy> spec_strategy(const SystemConfig& cfg,
                                                const char* spec) {
   // Same seed derivation as core/driver so trajectories match driver runs.
-  return make_strategy(parse_strategy_spec(spec), ModelParams::from_config(cfg),
-                       cfg.seed ^ 0x51CA5EEDULL);
+  return make_strategy(parse_strategy_spec(spec).value(),
+                       ModelParams::from_config(cfg), cfg.seed ^ 0x51CA5EEDULL);
 }
 
 Transaction custom_txn(TxnId id, TxnClass cls, int site,
@@ -163,7 +163,7 @@ TEST(AdaptiveControllerSystem, LockWaitPolicyRefusesInsteadOfPreempting) {
       custom_txn(2, TxnClass::B, 0, {{5, LockMode::Exclusive}}, false));
   optimistic.simulator().run();
   EXPECT_GE(
-      optimistic.metrics().aborts[static_cast<int>(AbortCause::LocalPreempted)],
+      optimistic.metrics().aborts(AbortCause::LocalPreempted),
       1u);
 
   // Lock-wait at site 0: the holder survives untouched, the central
@@ -177,9 +177,9 @@ TEST(AdaptiveControllerSystem, LockWaitPolicyRefusesInsteadOfPreempting) {
   lockwait.simulator().run();
   const Metrics& m = lockwait.metrics();
   EXPECT_EQ(m.completions, 2u);
-  EXPECT_EQ(m.aborts[static_cast<int>(AbortCause::LocalPreempted)], 0u);
-  EXPECT_GE(m.aborts[static_cast<int>(AbortCause::AuthRefused)], 1u);
-  EXPECT_GE(m.aborts_with_winner, 1u);  // the refusal names the holder
+  EXPECT_EQ(m.aborts(AbortCause::LocalPreempted), 0u);
+  EXPECT_GE(m.aborts(AbortCause::AuthRefused), 1u);
+  EXPECT_GE(m.aborts_with_winner(), 1u);  // the refusal names the holder
   lockwait.check_invariants();
 }
 

@@ -88,7 +88,7 @@ TEST(Batching, BatchedUpdateStillInvalidatesCentralHolders) {
   sys.inject_transaction(write_txn(1, 0, 5));
   sys.simulator().run();
   EXPECT_EQ(sys.metrics().completions, 2u);
-  EXPECT_GE(sys.metrics().aborts[static_cast<int>(AbortCause::CentralInvalidated)],
+  EXPECT_GE(sys.metrics().aborts(AbortCause::CentralInvalidated),
             1u);
 }
 
@@ -127,7 +127,7 @@ TEST(Batching, SystemDrainsWithBatchingUnderLoad) {
   sys.drain();
   EXPECT_EQ(sys.live_transactions(), 0);
   EXPECT_EQ(sys.metrics().completions,
-            sys.metrics().arrivals_class_a + sys.metrics().arrivals_class_b);
+            sys.metrics().arrivals_class_a() + sys.metrics().arrivals_class_b);
   sys.check_invariants();
 }
 

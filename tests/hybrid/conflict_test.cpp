@@ -26,10 +26,6 @@ Transaction custom_txn(TxnId id, TxnClass cls, int site,
   return txn;
 }
 
-std::uint64_t abort_count(const Metrics& m, AbortCause cause) {
-  return m.aborts[static_cast<int>(cause)];
-}
-
 // ---- local-local contention ----
 
 TEST(Conflict, LocalContentionSerializesConflictingTransactions) {
@@ -73,7 +69,7 @@ TEST(Conflict, LocalDeadlockAbortsOneAndBothComplete) {
   sys.simulator().run();
   const Metrics& m = sys.metrics();
   EXPECT_EQ(m.completions, 2u);
-  EXPECT_GE(abort_count(m, AbortCause::Deadlock), 1u);
+  EXPECT_GE(m.aborts(AbortCause::Deadlock), 1u);
   EXPECT_EQ(sys.local_locks(0).locks_held(), 0u);
   sys.check_invariants();
 }
@@ -89,7 +85,7 @@ TEST(Conflict, CentralDeadlockBetweenClassBTransactions) {
   sys.simulator().run();
   const Metrics& m = sys.metrics();
   EXPECT_EQ(m.completions, 2u);
-  EXPECT_GE(abort_count(m, AbortCause::Deadlock), 1u);
+  EXPECT_GE(m.aborts(AbortCause::Deadlock), 1u);
   EXPECT_EQ(sys.central_locks().locks_held(), 0u);
 }
 
@@ -110,7 +106,7 @@ TEST(Conflict, AuthenticationPreemptsLocalHolder) {
   sys.simulator().run();
   const Metrics& m = sys.metrics();
   EXPECT_EQ(m.completions, 2u);
-  EXPECT_GE(abort_count(m, AbortCause::LocalPreempted), 1u);
+  EXPECT_GE(m.aborts(AbortCause::LocalPreempted), 1u);
   // The local transaction reran: it completed after more than one run.
   EXPECT_EQ(m.rt_rerun.count(), 1u);
   sys.check_invariants();
@@ -151,7 +147,7 @@ TEST(Conflict, LocalCommitInvalidatesCentralHolder) {
   sys.simulator().run();
   const Metrics& m = sys.metrics();
   EXPECT_EQ(m.completions, 2u);
-  EXPECT_GE(abort_count(m, AbortCause::CentralInvalidated), 1u);
+  EXPECT_GE(m.aborts(AbortCause::CentralInvalidated), 1u);
   sys.check_invariants();
 }
 
@@ -173,7 +169,7 @@ TEST(Conflict, AuthRefusedWhileUpdatePropagationInFlight) {
   sys.simulator().run();
   const Metrics& m = sys.metrics();
   EXPECT_EQ(m.completions, 2u);
-  EXPECT_GE(abort_count(m, AbortCause::AuthRefused), 1u);
+  EXPECT_GE(m.aborts(AbortCause::AuthRefused), 1u);
   EXPECT_GE(m.auth_negative_acks, 1u);
   EXPECT_GE(m.auth_rounds, 2u);  // refused round + successful retry
   for (int s = 0; s < cfg.num_sites; ++s) {

@@ -37,7 +37,7 @@ TEST(DeadlockPolicy, RequesterPolicyAbortsTheRequester) {
   sys.simulator().run();
   const Metrics& m = sys.metrics();
   EXPECT_EQ(m.completions, 2u);
-  EXPECT_GE(m.aborts[static_cast<int>(AbortCause::Deadlock)], 1u);
+  EXPECT_GE(m.aborts(AbortCause::Deadlock), 1u);
   sys.check_invariants();
 }
 
@@ -54,7 +54,7 @@ TEST(DeadlockPolicy, YoungestPolicyResolvesSameDeadlock) {
   sys.simulator().run();
   const Metrics& m = sys.metrics();
   EXPECT_EQ(m.completions, 2u);
-  EXPECT_GE(m.aborts[static_cast<int>(AbortCause::Deadlock)], 1u);
+  EXPECT_GE(m.aborts(AbortCause::Deadlock), 1u);
   // The older transaction (id 1) commits on its first run.
   EXPECT_EQ(m.rt_first_try.count(), 1u);
   EXPECT_EQ(m.rt_rerun.count(), 1u);
@@ -79,7 +79,7 @@ TEST(DeadlockPolicy, YoungestVictimIsTheWaiterNotTheRequester) {
   sys.simulator().run();
   const Metrics& m = sys.metrics();
   EXPECT_EQ(m.completions, 2u);
-  EXPECT_GE(m.aborts[static_cast<int>(AbortCause::Deadlock)], 1u);
+  EXPECT_GE(m.aborts(AbortCause::Deadlock), 1u);
   EXPECT_EQ(m.rt_rerun.count(), 1u);
   sys.check_invariants();
 }
@@ -99,9 +99,9 @@ TEST(DeadlockPolicy, BothPoliciesDrainUnderContendedLoad) {
     sys.stop_arrivals();
     sys.drain();
     EXPECT_EQ(sys.live_transactions(), 0);
-    EXPECT_EQ(sys.metrics().completions,
-              sys.metrics().arrivals_class_a + sys.metrics().arrivals_class_b);
-    EXPECT_GT(sys.metrics().aborts[static_cast<int>(AbortCause::Deadlock)], 0u);
+    const Metrics& m = sys.metrics();
+    EXPECT_EQ(m.completions, m.arrivals_class_a() + m.arrivals_class_b);
+    EXPECT_GT(m.aborts(AbortCause::Deadlock), 0u);
     sys.check_invariants();
   }
 }
@@ -125,7 +125,7 @@ TEST(DeadlockPolicy, CentralDeadlocksHonourThePolicy) {
   });
   sys.simulator().run();
   EXPECT_EQ(sys.metrics().completions, 2u);
-  EXPECT_GE(sys.metrics().aborts[static_cast<int>(AbortCause::Deadlock)], 1u);
+  EXPECT_GE(sys.metrics().aborts(AbortCause::Deadlock), 1u);
   EXPECT_EQ(sys.central_locks().locks_held(), 0u);
 }
 
@@ -146,7 +146,7 @@ double deadlock_pair_rt_sum(const SystemConfig& cfg) {
   sys.inject_transaction(two_lock_txn(2, 0, 6, 5));
   sys.simulator().run();
   EXPECT_EQ(sys.metrics().completions, 2u);
-  EXPECT_GE(sys.metrics().aborts[static_cast<int>(AbortCause::Deadlock)], 1u);
+  EXPECT_GE(sys.metrics().aborts(AbortCause::Deadlock), 1u);
   sys.check_invariants();
   return sys.metrics().rt_all.sum();
 }
@@ -205,7 +205,7 @@ TEST(LivelockBreaker, CentralRestartPathHonoursTheBackoff) {
     sys.inject_transaction(class_b(2, 1, 200, 100));
     sys.simulator().run();
     EXPECT_EQ(sys.metrics().completions, 2u);
-    EXPECT_GE(sys.metrics().aborts[static_cast<int>(AbortCause::Deadlock)],
+    EXPECT_GE(sys.metrics().aborts(AbortCause::Deadlock),
               1u);
     sys.check_invariants();
     return sys.metrics().rt_all.sum();

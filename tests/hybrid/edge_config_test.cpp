@@ -21,7 +21,7 @@ void run_and_drain(HybridSystem& sys, double seconds) {
   sys.drain();
   EXPECT_EQ(sys.live_transactions(), 0);
   EXPECT_EQ(sys.metrics().completions,
-            sys.metrics().arrivals_class_a + sys.metrics().arrivals_class_b);
+            sys.metrics().arrivals_class_a() + sys.metrics().arrivals_class_b);
   sys.check_invariants();
 }
 
@@ -63,7 +63,7 @@ TEST(EdgeConfig, AllTransactionsGlobalClass) {
   cfg.seed = 44;
   HybridSystem sys(cfg, strat(cfg, StrategyKind::MinAverageNsys));
   run_and_drain(sys, 100.0);
-  EXPECT_EQ(sys.metrics().arrivals_class_a, 0u);
+  EXPECT_EQ(sys.metrics().arrivals_class_a(), 0u);
   EXPECT_DOUBLE_EQ(sys.metrics().ship_fraction(), 0.0);
   EXPECT_EQ(sys.metrics().completions, sys.metrics().completions_class_b);
 }

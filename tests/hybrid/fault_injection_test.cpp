@@ -63,10 +63,10 @@ TEST(FaultInjection, ShipTimeoutLadderFallsBackToLocalExactTiming) {
   // asynchronous update replay from the central backlog at recovery
   // (t = 100).
   ASSERT_EQ(sys.metrics().completions, 1u);
-  EXPECT_EQ(sys.metrics().ship_timeouts, 3u);
-  EXPECT_EQ(sys.metrics().ship_retries, 2u);
-  EXPECT_EQ(sys.metrics().ship_fallbacks, 1u);
-  EXPECT_EQ(sys.metrics().aborts[static_cast<int>(AbortCause::ShipTimeout)], 3u);
+  EXPECT_EQ(sys.metrics().ship_timeouts(), 3u);
+  EXPECT_EQ(sys.metrics().ship_retries(), 2u);
+  EXPECT_EQ(sys.metrics().ship_fallbacks(), 1u);
+  EXPECT_EQ(sys.metrics().aborts(AbortCause::ShipTimeout), 3u);
   EXPECT_EQ(sys.metrics().completions_local_a, 1u);  // fallback books as local
   EXPECT_EQ(sys.metrics().completions_shipped_a, 0u);
   EXPECT_NEAR(sys.metrics().rt_local_a.mean(), 7.0 + 0.005 + kLocalXCost, 1e-9);
@@ -113,9 +113,9 @@ TEST(FaultInjection, ShipTimeoutJitterLadderExactTiming) {
   const double t1 = 1.0 * (1.0 + 0.5 * u0);
   const double t2 = t1 + 2.0 * (1.0 + 0.5 * u1);
   ASSERT_EQ(sys.metrics().completions, 1u);
-  EXPECT_EQ(sys.metrics().ship_timeouts, 2u);
-  EXPECT_EQ(sys.metrics().ship_retries, 1u);
-  EXPECT_EQ(sys.metrics().ship_fallbacks, 1u);
+  EXPECT_EQ(sys.metrics().ship_timeouts(), 2u);
+  EXPECT_EQ(sys.metrics().ship_retries(), 1u);
+  EXPECT_EQ(sys.metrics().ship_fallbacks(), 1u);
   EXPECT_EQ(sys.metrics().completions_local_a, 1u);
   EXPECT_NEAR(sys.metrics().rt_local_a.mean(), t2 + 0.005 + kLocalXCost, 1e-9);
   EXPECT_EQ(sys.live_transactions(), 0);
@@ -139,9 +139,9 @@ TEST(FaultInjection, ShipTimeoutRetrySucceedsOnceCentralRecovers) {
   // memory residency, so the central run pays the setup and call I/O. The
   // second timer (t = 3) finds the transaction completed and dies.
   ASSERT_EQ(sys.metrics().completions_shipped_a, 1u);
-  EXPECT_EQ(sys.metrics().ship_timeouts, 1u);
-  EXPECT_EQ(sys.metrics().ship_retries, 1u);
-  EXPECT_EQ(sys.metrics().ship_fallbacks, 0u);
+  EXPECT_EQ(sys.metrics().ship_timeouts(), 1u);
+  EXPECT_EQ(sys.metrics().ship_retries(), 1u);
+  EXPECT_EQ(sys.metrics().ship_fallbacks(), 0u);
   EXPECT_NEAR(sys.metrics().rt_shipped_a.mean(), 2.0 + kCentralRunCost, 1e-9);
   EXPECT_EQ(sys.live_transactions(), 0);
   sys.check_invariants();
@@ -162,7 +162,7 @@ TEST(FaultInjection, CentralCrashMidRunRestartsAtRecoveryExactTiming) {
   // dead letter). It restarts when the central complex recovers at t = 1.5
   // and pays the full central run again.
   ASSERT_EQ(sys.metrics().completions_shipped_a, 1u);
-  EXPECT_EQ(sys.metrics().aborts[static_cast<int>(AbortCause::Crash)], 1u);
+  EXPECT_EQ(sys.metrics().aborts(AbortCause::Crash), 1u);
   EXPECT_EQ(sys.metrics().central_crashes, 1u);
   EXPECT_EQ(sys.metrics().central_recoveries, 1u);
   EXPECT_NEAR(sys.metrics().rt_shipped_a.mean(), 1.5 + kCentralRunCost, 1e-9);
@@ -185,7 +185,7 @@ TEST(FaultInjection, SiteCrashRestartsLocalTransactionAtRecoveryExactTiming) {
   // full first-run cost of the read-only ten-call transaction.
   const double run_cost = 0.075 + 0.035 + 10 * 0.055 + 0.075;
   ASSERT_EQ(sys.metrics().completions_local_a, 1u);
-  EXPECT_EQ(sys.metrics().aborts[static_cast<int>(AbortCause::Crash)], 1u);
+  EXPECT_EQ(sys.metrics().aborts(AbortCause::Crash), 1u);
   EXPECT_EQ(sys.metrics().site_crashes, 1u);
   EXPECT_EQ(sys.metrics().site_recoveries, 1u);
   EXPECT_NEAR(sys.metrics().rt_local_a.mean(), 1.1 + run_cost, 1e-9);
@@ -262,7 +262,7 @@ TEST(FaultInjection, FailureAwareRoutingDegradesToLocalAndRecovers) {
       custom_txn(3, TxnClass::A, 0, {{8, LockMode::Exclusive}}));
   sys.simulator().run();
   EXPECT_EQ(sys.metrics().completions_shipped_a, 2u);
-  EXPECT_EQ(sys.metrics().shipped_class_a, 2u);
+  EXPECT_EQ(sys.metrics().shipped_class_a(), 2u);
   EXPECT_EQ(sys.live_transactions(), 0);
   sys.check_invariants();
 }
@@ -299,7 +299,8 @@ TEST(FaultInjection, LoadedRunWithCrashesDrainsCompletely) {
   EXPECT_EQ(m.central_recoveries, 1u);
   EXPECT_EQ(m.site_crashes, 1u);
   EXPECT_EQ(m.site_recoveries, 1u);
-  EXPECT_GT(m.ship_timeouts, 0u);  // the 1.5 s outage outlasts the 0.8 s timer
+  // The 1.5 s outage outlasts the 0.8 s timer.
+  EXPECT_GT(m.ship_timeouts(), 0u);
   EXPECT_GT(m.backlog_replayed, 0u);
   EXPECT_GT(m.arrivals_rejected, 0u);  // site 1 rejects during its outage
   EXPECT_EQ(m.completions,
@@ -341,7 +342,7 @@ TEST(FaultInjection, FaultedRunsAreDeterministic) {
     return std::vector<double>{
         m.rt_all.mean(),  // bit-exact, not approximate, under determinism
         static_cast<double>(m.completions),
-        static_cast<double>(m.ship_timeouts),
+        static_cast<double>(m.ship_timeouts()),
         static_cast<double>(m.aborts_total()),
         static_cast<double>(m.backlog_replayed),
         static_cast<double>(m.arrivals_rejected),

@@ -117,7 +117,7 @@ TEST(GeometricCalls, SystemRunsAndDrains) {
   sys.drain();
   EXPECT_EQ(sys.live_transactions(), 0);
   EXPECT_EQ(sys.metrics().completions,
-            sys.metrics().arrivals_class_a + sys.metrics().arrivals_class_b);
+            sys.metrics().arrivals_class_a() + sys.metrics().arrivals_class_b);
   sys.check_invariants();
 }
 

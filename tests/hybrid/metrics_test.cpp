@@ -23,37 +23,84 @@ TEST(Metrics, ThroughputOverWindow) {
   EXPECT_DOUBLE_EQ(m.window_seconds(), 200.0);
 }
 
-TEST(Metrics, ShipFraction) {
+/// Three sites with distinct counts in every per-site counter, so a derived
+/// total that skipped a site or read the wrong field would be off.
+Metrics three_sites() {
   Metrics m;
-  m.arrivals_class_a = 200;
-  m.shipped_class_a = 50;
-  EXPECT_DOUBLE_EQ(m.ship_fraction(), 0.25);
+  m.reset(0.0, 3);
+  const std::uint64_t arrivals[] = {100, 60, 40};
+  const std::uint64_t shipped[] = {20, 25, 5};
+  for (int s = 0; s < 3; ++s) {
+    SiteMetrics& sm = m.sites[static_cast<std::size_t>(s)];
+    const auto k = static_cast<std::uint64_t>(s + 1);
+    sm.arrivals_class_a = arrivals[s];
+    sm.shipped_class_a = shipped[s];
+    sm.ship_timeouts = 3 * k;
+    sm.ship_retries = 2 * k;
+    sm.ship_fallbacks = k;
+    sm.dup_msgs_dropped = 10 * k;
+    sm.msgs_resequenced = 7 * k;
+    sm.aborts[static_cast<int>(AbortCause::LocalPreempted)] = k;
+    sm.aborts[static_cast<int>(AbortCause::CentralInvalidated)] = 2 * k;
+    sm.aborts[static_cast<int>(AbortCause::Deadlock)] = 4 * k;
+  }
+  return m;
+}
+
+TEST(Metrics, ShipFraction) {
+  const Metrics m = three_sites();
+  EXPECT_DOUBLE_EQ(m.ship_fraction(), 0.25);  // 50 of 200
 }
 
 TEST(Metrics, RunsPerTxn) {
-  Metrics m;
-  m.completions = 100;
-  m.reruns = 25;
-  EXPECT_DOUBLE_EQ(m.runs_per_txn(), 1.25);
+  Metrics m = three_sites();
+  m.completions = 168;
+  EXPECT_DOUBLE_EQ(m.runs_per_txn(), 1.25);  // 42 reruns over 168
 }
 
 TEST(Metrics, AbortsTotalSumsCauses) {
-  Metrics m;
-  m.aborts[static_cast<int>(AbortCause::LocalPreempted)] = 3;
-  m.aborts[static_cast<int>(AbortCause::CentralInvalidated)] = 4;
-  m.aborts[static_cast<int>(AbortCause::AuthRefused)] = 5;
-  m.aborts[static_cast<int>(AbortCause::Deadlock)] = 6;
-  EXPECT_EQ(m.aborts_total(), 18u);
+  const Metrics m = three_sites();
+  EXPECT_EQ(m.aborts(AbortCause::LocalPreempted), 6u);
+  EXPECT_EQ(m.aborts(AbortCause::CentralInvalidated), 12u);
+  EXPECT_EQ(m.aborts(AbortCause::AuthRefused), 0u);
+  EXPECT_EQ(m.aborts(AbortCause::Deadlock), 24u);
+  EXPECT_EQ(m.aborts_total(), 42u);
+}
+
+TEST(Metrics, DerivedTotalsSumOverSites) {
+  Metrics m = three_sites();
+  EXPECT_EQ(m.num_sites(), 3);
+  EXPECT_EQ(m.arrivals_class_a(), 200u);
+  EXPECT_EQ(m.shipped_class_a(), 50u);
+  EXPECT_EQ(m.ship_timeouts(), 18u);
+  EXPECT_EQ(m.ship_retries(), 12u);
+  EXPECT_EQ(m.ship_fallbacks(), 6u);
+  EXPECT_EQ(m.dup_msgs_dropped(), 60u);
+  EXPECT_EQ(m.msgs_resequenced(), 42u);
+  // Winners are the conflict matrix's site columns; the trailing column
+  // holds aborts without one.
+  m.record_conflict(0, 2);
+  m.record_conflict(2, 1);
+  m.record_conflict(1, -2);
+  EXPECT_EQ(m.aborts_with_winner(), 2u);
+  EXPECT_EQ(m.conflict(1, m.num_sites()), 1u);
+  EXPECT_EQ(m.conflict_matrix_total(), 3u);
 }
 
 TEST(Metrics, ResetClearsAndRestamps) {
-  Metrics m;
+  Metrics m = three_sites();
   m.completions = 10;
   m.rt_all.add(1.0);
-  m.reset(42.0);
+  m.record_conflict(0, 1);
+  m.reset(42.0, 2);
   EXPECT_EQ(m.completions, 0u);
   EXPECT_EQ(m.rt_all.count(), 0u);
   EXPECT_DOUBLE_EQ(m.measure_start, 42.0);
+  EXPECT_EQ(m.num_sites(), 2);
+  EXPECT_EQ(m.arrivals_class_a(), 0u);
+  EXPECT_EQ(m.aborts_total(), 0u);
+  EXPECT_EQ(m.conflict_matrix.size(), 6u);  // 2 victim rows x (2 + 1)
+  EXPECT_EQ(m.conflict_matrix_total(), 0u);
 }
 
 TEST(SiteMetricsStruct, ShipFraction) {

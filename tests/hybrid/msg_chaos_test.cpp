@@ -90,9 +90,9 @@ TEST(MsgChaos, DuplicateDeliveriesNeverPerturbShippedTiming) {
   // dropped delivery, all attributed to site 0 (the only active link pair).
   const HybridSystem::LinkFaultTotals faults = sys.link_fault_totals();
   EXPECT_GT(faults.duplicated, 0u);
-  EXPECT_EQ(sys.metrics().dup_msgs_dropped, faults.duplicated);
+  EXPECT_EQ(sys.metrics().dup_msgs_dropped(), faults.duplicated);
   EXPECT_EQ(sys.site_metrics(0).dup_msgs_dropped, faults.duplicated);
-  EXPECT_EQ(sys.metrics().msgs_resequenced, 0u);
+  EXPECT_EQ(sys.metrics().msgs_resequenced(), 0u);
   EXPECT_EQ(sys.live_transactions(), 0);
   sys.check_invariants();
 }
@@ -134,8 +134,8 @@ TEST(MsgChaos, StraggledAsyncUpdatePipelineExactTiming) {
   // link: arrival order never inverted, so nothing was resequenced.
   const HybridSystem::LinkFaultTotals faults = sys.link_fault_totals();
   EXPECT_EQ(faults.reordered, 2u);
-  EXPECT_EQ(sys.metrics().msgs_resequenced, 0u);
-  EXPECT_EQ(sys.metrics().dup_msgs_dropped, 0u);
+  EXPECT_EQ(sys.metrics().msgs_resequenced(), 0u);
+  EXPECT_EQ(sys.metrics().dup_msgs_dropped(), 0u);
   EXPECT_EQ(sys.live_transactions(), 0);
   sys.check_invariants();
 }
@@ -171,7 +171,7 @@ TEST(MsgChaos, OvertakenUpdateIsResequencedExactTiming) {
   sys.simulator().run_until(0.70);
   EXPECT_EQ(sys.metrics().completions_local_a, 2u);
   EXPECT_EQ(sys.metrics().async_updates_sent, 2u);
-  EXPECT_EQ(sys.metrics().msgs_resequenced, 1u);
+  EXPECT_EQ(sys.metrics().msgs_resequenced(), 1u);
   EXPECT_EQ(sys.local_locks(0).coherence_count(7), 1u);
   EXPECT_EQ(sys.local_locks(0).coherence_count(9), 1u);
 
@@ -195,9 +195,9 @@ TEST(MsgChaos, OvertakenUpdateIsResequencedExactTiming) {
 
   const HybridSystem::LinkFaultTotals faults = sys.link_fault_totals();
   EXPECT_EQ(faults.reordered, 1u);
-  EXPECT_EQ(sys.metrics().msgs_resequenced, 1u);
+  EXPECT_EQ(sys.metrics().msgs_resequenced(), 1u);
   EXPECT_EQ(sys.site_metrics(0).msgs_resequenced, 1u);
-  EXPECT_EQ(sys.metrics().dup_msgs_dropped, 0u);
+  EXPECT_EQ(sys.metrics().dup_msgs_dropped(), 0u);
   EXPECT_EQ(sys.live_transactions(), 0);
   sys.check_invariants();
 }
@@ -232,8 +232,8 @@ TEST(MsgChaos, LoadedChaosRunDrainsCompletely) {
   EXPECT_GT(faults.duplicated, 0u);
   EXPECT_GT(faults.reordered, 0u);
   EXPECT_GT(faults.delay_spikes, 0u);
-  EXPECT_EQ(m.dup_msgs_dropped, faults.duplicated);
-  EXPECT_GT(m.msgs_resequenced, 0u);
+  EXPECT_EQ(m.dup_msgs_dropped(), faults.duplicated);
+  EXPECT_GT(m.msgs_resequenced(), 0u);
 
   // Per-site counters sum to the global ones.
   std::uint64_t dup_sum = 0;
@@ -242,8 +242,8 @@ TEST(MsgChaos, LoadedChaosRunDrainsCompletely) {
     dup_sum += sys.site_metrics(s).dup_msgs_dropped;
     reseq_sum += sys.site_metrics(s).msgs_resequenced;
   }
-  EXPECT_EQ(dup_sum, m.dup_msgs_dropped);
-  EXPECT_EQ(reseq_sum, m.msgs_resequenced);
+  EXPECT_EQ(dup_sum, m.dup_msgs_dropped());
+  EXPECT_EQ(reseq_sum, m.msgs_resequenced());
 
   EXPECT_EQ(sys.live_transactions(), 0);
   EXPECT_EQ(sys.central_resident(), 0);
@@ -282,8 +282,8 @@ TEST(MsgChaos, ChaosRunsAreDeterministic) {
     return std::vector<double>{
         m.rt_all.mean(),
         static_cast<double>(m.completions),
-        static_cast<double>(m.dup_msgs_dropped),
-        static_cast<double>(m.msgs_resequenced),
+        static_cast<double>(m.dup_msgs_dropped()),
+        static_cast<double>(m.msgs_resequenced()),
         static_cast<double>(m.aborts_total()),
     };
   };

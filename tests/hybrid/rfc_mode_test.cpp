@@ -94,7 +94,7 @@ TEST(RfcMode, InvalidationForcesRerunFromHome) {
   sys.simulator().run();
   const Metrics& m = sys.metrics();
   EXPECT_EQ(m.completions, 2u);
-  EXPECT_GE(m.aborts[static_cast<int>(AbortCause::CentralInvalidated)], 1u);
+  EXPECT_GE(m.aborts(AbortCause::CentralInvalidated), 1u);
   EXPECT_EQ(sys.central_locks().locks_held(), 0u);
   sys.check_invariants();
 }
@@ -110,7 +110,7 @@ TEST(RfcMode, StochasticLoadDrainsCleanly) {
   sys.drain();
   EXPECT_EQ(sys.live_transactions(), 0);
   EXPECT_EQ(sys.metrics().completions,
-            sys.metrics().arrivals_class_a + sys.metrics().arrivals_class_b);
+            sys.metrics().arrivals_class_a() + sys.metrics().arrivals_class_b);
   EXPECT_EQ(sys.central_resident(), 0);
   sys.check_invariants();
 }

@@ -29,8 +29,8 @@ TEST(SiteMetrics, PerSiteCountsSumToGlobal) {
     shipped_completions += sm.rt_shipped_a.count();
   }
   const Metrics& m = sys.metrics();
-  EXPECT_EQ(arrivals, m.arrivals_class_a);
-  EXPECT_EQ(shipped, m.shipped_class_a);
+  EXPECT_EQ(arrivals, m.arrivals_class_a());
+  EXPECT_EQ(shipped, m.shipped_class_a());
   EXPECT_EQ(local_completions, m.completions_local_a);
   EXPECT_EQ(shipped_completions, m.completions_shipped_a);
 }
@@ -98,10 +98,10 @@ TEST(SiteMetrics, ShipFaultCountersSumToGlobalAndLandOnTheHomeSite) {
     EXPECT_EQ(sys.site_metrics(s).ship_retries, 0u);
     EXPECT_EQ(sys.site_metrics(s).ship_fallbacks, 0u);
   }
-  EXPECT_EQ(sys.metrics().ship_timeouts, 3u);
-  EXPECT_EQ(sys.metrics().ship_retries, 2u);
-  EXPECT_EQ(sys.metrics().ship_fallbacks, 1u);
-  sys.check_invariants();  // asserts global == sum over sites
+  EXPECT_EQ(sys.metrics().ship_timeouts(), 3u);
+  EXPECT_EQ(sys.metrics().ship_retries(), 2u);
+  EXPECT_EQ(sys.metrics().ship_fallbacks(), 1u);
+  sys.check_invariants();
 }
 
 TEST(SiteMetrics, ShipFaultCountersSumToGlobalUnderLoad) {
@@ -127,10 +127,10 @@ TEST(SiteMetrics, ShipFaultCountersSumToGlobalUnderLoad) {
     fallbacks += sm.ship_fallbacks;
   }
   const Metrics& m = sys.metrics();
-  EXPECT_GT(m.ship_timeouts, 0u);  // the outage actually bit
-  EXPECT_EQ(timeouts, m.ship_timeouts);
-  EXPECT_EQ(retries, m.ship_retries);
-  EXPECT_EQ(fallbacks, m.ship_fallbacks);
+  EXPECT_GT(m.ship_timeouts(), 0u);  // the outage actually bit
+  EXPECT_EQ(timeouts, m.ship_timeouts());
+  EXPECT_EQ(retries, m.ship_retries());
+  EXPECT_EQ(fallbacks, m.ship_fallbacks());
   sys.check_invariants();
 }
 

@@ -90,7 +90,7 @@ TEST_P(ConfigFuzz, RandomConfigDrainsWithInvariants) {
   EXPECT_EQ(sys.live_transactions(), 0)
       << "kind=" << static_cast<int>(kind) << " sites=" << run_cfg.num_sites;
   EXPECT_EQ(sys.metrics().completions,
-            sys.metrics().arrivals_class_a + sys.metrics().arrivals_class_b);
+            sys.metrics().arrivals_class_a() + sys.metrics().arrivals_class_b);
   EXPECT_EQ(sys.central_locks().locks_held(), 0u);
   EXPECT_EQ(sys.central_locks().waiters(), 0u);
   for (int s = 0; s < run_cfg.num_sites; ++s) {

@@ -118,7 +118,7 @@ TEST(DeterminismTest, TraceSinksDoNotPerturbTheSimulation) {
     return std::make_tuple(sys.simulator().executed_events(),
                            sys.metrics().completions,
                            sys.metrics().rt_all.sum(),
-                           sys.metrics().ship_timeouts);
+                           sys.metrics().ship_timeouts());
   };
   EXPECT_EQ(run(false), run(true));
 }

@@ -77,17 +77,19 @@ void check_or_print_causes(const char* name, const Metrics& m,
   if (repin_mode()) {
     std::printf("  const GoldenCauses want_causes{{");
     for (int c = 0; c < static_cast<int>(AbortCause::kCount); ++c) {
+      const auto cause = static_cast<AbortCause>(c);
       std::printf("%s%lluu", c ? ", " : "",
-                  static_cast<unsigned long long>(m.aborts[c]));
+                  static_cast<unsigned long long>(m.aborts(cause)));
     }
     std::printf("}, %lluu};  // %s\n",
-                static_cast<unsigned long long>(m.aborts_with_winner), name);
+                static_cast<unsigned long long>(m.aborts_with_winner()), name);
     return;
   }
   for (int c = 0; c < static_cast<int>(AbortCause::kCount); ++c) {
-    EXPECT_EQ(m.aborts[c], want.by_cause[c]) << name << " cause " << c;
+    EXPECT_EQ(m.aborts(static_cast<AbortCause>(c)), want.by_cause[c])
+        << name << " cause " << c;
   }
-  EXPECT_EQ(m.aborts_with_winner, want.with_winner) << name;
+  EXPECT_EQ(m.aborts_with_winner(), want.with_winner) << name;
   EXPECT_EQ(m.conflict_matrix_total(), m.aborts_total()) << name;
 }
 
@@ -140,7 +142,7 @@ TEST(GoldenMetrics, HybridRemoteCallsClassB) {
   check_or_print_causes("hybrid/remote-calls", r.metrics, want_causes);
   if (!repin_mode()) {
     EXPECT_GT(r.metrics.completions_class_b, 0u);
-    EXPECT_GT(r.metrics.aborts[static_cast<int>(AbortCause::Deadlock)], 0u);
+    EXPECT_GT(r.metrics.aborts(AbortCause::Deadlock), 0u);
   }
 }
 
@@ -156,7 +158,7 @@ TEST(GoldenMetrics, HybridYoungestDeadlockVictim) {
   const GoldenCauses want_causes{{198u, 73u, 174u, 9u, 0u, 0u}, 280u};
   check_or_print_causes("hybrid/youngest-victim", r.metrics, want_causes);
   if (!repin_mode()) {
-    EXPECT_GT(r.metrics.aborts[static_cast<int>(AbortCause::Deadlock)], 0u);
+    EXPECT_GT(r.metrics.aborts(AbortCause::Deadlock), 0u);
   }
 }
 
@@ -174,7 +176,7 @@ TEST(GoldenMetrics, HybridRemoteCallsYoungestDeadlockVictim) {
   check_or_print_causes("hybrid/remote-calls+youngest", r.metrics,
                         want_causes);
   if (!repin_mode()) {
-    EXPECT_GT(r.metrics.aborts[static_cast<int>(AbortCause::Deadlock)], 0u);
+    EXPECT_GT(r.metrics.aborts(AbortCause::Deadlock), 0u);
   }
 }
 
@@ -231,7 +233,7 @@ TEST(GoldenMetrics, HybridWithFaultsAndSampler) {
     // land inside depending on event ordering at the boundary).
     EXPECT_GE(r.series.size(), 199u);
     EXPECT_LE(r.series.size(), 201u);
-    EXPECT_GT(r.metrics.ship_timeouts, 0u);
+    EXPECT_GT(r.metrics.ship_timeouts(), 0u);
   }
 }
 

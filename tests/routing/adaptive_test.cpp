@@ -60,7 +60,8 @@ Transaction class_a_txn() {
 // ---- factory specs ------------------------------------------------------
 
 TEST(AdaptiveSpec, ParsesAdaptPrefix) {
-  const StrategySpec spec = parse_strategy_spec("adapt:util-threshold:-0.2");
+  const StrategySpec spec =
+      parse_strategy_spec("adapt:util-threshold:-0.2").value();
   EXPECT_TRUE(spec.adaptive);
   EXPECT_EQ(spec.kind, StrategyKind::UtilThreshold);
   EXPECT_DOUBLE_EQ(spec.parameter, -0.2);
@@ -69,41 +70,69 @@ TEST(AdaptiveSpec, ParsesAdaptPrefix) {
 }
 
 TEST(AdaptiveSpec, ParsesIntervalOverride) {
-  const StrategySpec spec = parse_strategy_spec("adapt@2.5:min-average-nsys");
+  const StrategySpec spec =
+      parse_strategy_spec("adapt@2.5:min-average-nsys").value();
   EXPECT_TRUE(spec.adaptive);
   EXPECT_EQ(spec.kind, StrategyKind::MinAverageNsys);
   EXPECT_DOUBLE_EQ(spec.adapt_interval_override, 2.5);
 }
 
 TEST(AdaptiveSpec, ComposesWithFailsafeInEitherOrder) {
-  const StrategySpec outer = parse_strategy_spec("adapt:failsafe@1.5:queue-length");
+  const StrategySpec outer =
+      parse_strategy_spec("adapt:failsafe@1.5:queue-length").value();
   EXPECT_TRUE(outer.adaptive);
   EXPECT_TRUE(outer.failure_aware);
   EXPECT_DOUBLE_EQ(outer.failsafe_max_info_age, 1.5);
   EXPECT_EQ(outer.kind, StrategyKind::QueueLength);
 
-  const StrategySpec inner = parse_strategy_spec("failsafe:adapt:util-threshold:0");
+  const StrategySpec inner =
+      parse_strategy_spec("failsafe:adapt:util-threshold:0").value();
   EXPECT_TRUE(inner.adaptive);
   EXPECT_TRUE(inner.failure_aware);
   EXPECT_EQ(inner.kind, StrategyKind::UtilThreshold);
 }
 
+/// The error parse_strategy_spec reports for `text`; empty if it parsed.
+std::string spec_error(const std::string& text) {
+  std::string error;
+  if (parse_strategy_spec(text, &error).has_value()) {
+    return "";
+  }
+  return error;
+}
+
 TEST(AdaptiveSpec, UnknownSpecErrorQuotesTheOffendingToken) {
-  EXPECT_DEATH(static_cast<void>(parse_strategy_spec("bogus-name")),
-               "unknown strategy spec 'bogus-name'");
+  EXPECT_EQ(spec_error("bogus-name"), "unknown strategy spec 'bogus-name'");
   // Nested: the message quotes the token that failed, not the whole spec.
-  EXPECT_DEATH(static_cast<void>(parse_strategy_spec("failsafe:nope")),
-               "unknown strategy spec 'nope'");
+  EXPECT_EQ(spec_error("failsafe:nope"), "unknown strategy spec 'nope'");
   // Malformed failsafe head quotes the full spec.
-  EXPECT_DEATH(static_cast<void>(parse_strategy_spec("failsafex:queue-length")),
-               "unknown strategy spec 'failsafex:queue-length'");
+  EXPECT_EQ(spec_error("failsafex:queue-length"),
+            "unknown strategy spec 'failsafex:queue-length'");
+  EXPECT_EQ(spec_error("min-averge-nsys"),
+            "unknown strategy spec 'min-averge-nsys'");
+  // Numbers must parse whole: no letters, no trailing characters.
+  EXPECT_EQ(spec_error("static:abc"),
+            "bad number 'abc' in strategy spec 'static:abc'");
+  EXPECT_EQ(spec_error("failsafe@x:queue-length"),
+            "bad number 'x' in strategy spec 'failsafe@x:queue-length'");
+  EXPECT_EQ(spec_error("static:0.3xyz"),
+            "bad number '0.3xyz' in strategy spec 'static:0.3xyz'");
+  // Values the strategies would reject are caught at parse time too.
+  EXPECT_NE(spec_error("static:1.5").find("'static:1.5'"), std::string::npos);
+  EXPECT_NE(spec_error("failsafe@-1:queue-length").find("'-1'"),
+            std::string::npos);
+  EXPECT_NE(spec_error("adapt@0:queue-length").find("'0'"), std::string::npos);
+  EXPECT_NE(spec_error("adapt").find("needs an inner strategy"),
+            std::string::npos);
+  EXPECT_EQ(spec_error("static:0.3"), "");
 }
 
 TEST(AdaptiveSpec, FactoryWrapsBaseThenAdaptThenFailsafe) {
   const ModelParams base = ModelParams::from_config(SystemConfig{});
   auto strategy =
-      make_strategy(parse_strategy_spec("failsafe:adapt:util-threshold:-0.1"),
-                    base, 42);
+      make_strategy(
+          parse_strategy_spec("failsafe:adapt:util-threshold:-0.1").value(),
+          base, 42);
   // Wrap order is base -> adapt -> failsafe regardless of prefix order.
   const std::string expected =
       "failsafe(adapt(" + ThresholdUtilizationStrategy(-0.1).name() + "))";
@@ -116,11 +145,13 @@ TEST(AdaptiveSpec, FactoryWrapsBaseThenAdaptThenFailsafe) {
 
 TEST(AdaptiveSpec, NonAdaptiveStrategiesExposeNoController) {
   const ModelParams base = ModelParams::from_config(SystemConfig{});
-  auto plain = make_strategy(parse_strategy_spec("min-average-nsys"), base, 42);
+  auto plain =
+      make_strategy(parse_strategy_spec("min-average-nsys").value(), base, 42);
   EXPECT_EQ(plain->controller(), nullptr);
   EXPECT_EQ(plain->tunable_threshold(), nullptr);
   auto failsafe =
-      make_strategy(parse_strategy_spec("failsafe:queue-length"), base, 42);
+      make_strategy(parse_strategy_spec("failsafe:queue-length").value(), base,
+                    42);
   EXPECT_EQ(failsafe->controller(), nullptr);
 }
 

@@ -71,15 +71,17 @@ TEST(FailureAware, NameWrapsInnerName) {
 }
 
 TEST(FailureAware, SpecParsingAndFactoryWrap) {
-  const StrategySpec plain = parse_strategy_spec("min-average-nsys");
+  const StrategySpec plain = parse_strategy_spec("min-average-nsys").value();
   EXPECT_FALSE(plain.failure_aware);
 
-  const StrategySpec wrapped = parse_strategy_spec("failsafe:min-average-nsys");
+  const StrategySpec wrapped =
+      parse_strategy_spec("failsafe:min-average-nsys").value();
   EXPECT_TRUE(wrapped.failure_aware);
   EXPECT_EQ(wrapped.kind, StrategyKind::MinAverageNsys);
   EXPECT_DOUBLE_EQ(wrapped.failsafe_max_info_age, 0.0);
 
-  const StrategySpec aged = parse_strategy_spec("failsafe@2.5:queue-length");
+  const StrategySpec aged =
+      parse_strategy_spec("failsafe@2.5:queue-length").value();
   EXPECT_TRUE(aged.failure_aware);
   EXPECT_EQ(aged.kind, StrategyKind::QueueLength);
   EXPECT_DOUBLE_EQ(aged.failsafe_max_info_age, 2.5);

@@ -167,27 +167,29 @@ TEST(Factory, BuildsEveryKind) {
 }
 
 TEST(Factory, ParseRoundTrips) {
-  EXPECT_EQ(parse_strategy_spec("no-load-sharing").kind,
+  EXPECT_EQ(parse_strategy_spec("no-load-sharing").value().kind,
             StrategyKind::NoLoadSharing);
-  EXPECT_EQ(parse_strategy_spec("always-central").kind,
+  EXPECT_EQ(parse_strategy_spec("always-central").value().kind,
             StrategyKind::AlwaysCentral);
-  EXPECT_EQ(parse_strategy_spec("static-optimal").kind,
+  EXPECT_EQ(parse_strategy_spec("static-optimal").value().kind,
             StrategyKind::StaticOptimal);
-  const auto st = parse_strategy_spec("static:0.4");
+  const auto st = parse_strategy_spec("static:0.4").value();
   EXPECT_EQ(st.kind, StrategyKind::StaticProbability);
   EXPECT_DOUBLE_EQ(st.parameter, 0.4);
-  const auto th = parse_strategy_spec("util-threshold:-0.2");
+  const auto th = parse_strategy_spec("util-threshold:-0.2").value();
   EXPECT_EQ(th.kind, StrategyKind::UtilThreshold);
   EXPECT_DOUBLE_EQ(th.parameter, -0.2);
-  EXPECT_EQ(parse_strategy_spec("measured-rt").kind, StrategyKind::MeasuredRt);
-  EXPECT_EQ(parse_strategy_spec("queue-length").kind, StrategyKind::QueueLength);
-  EXPECT_EQ(parse_strategy_spec("min-incoming-queue").kind,
+  EXPECT_EQ(parse_strategy_spec("measured-rt").value().kind,
+            StrategyKind::MeasuredRt);
+  EXPECT_EQ(parse_strategy_spec("queue-length").value().kind,
+            StrategyKind::QueueLength);
+  EXPECT_EQ(parse_strategy_spec("min-incoming-queue").value().kind,
             StrategyKind::MinIncomingQueue);
-  EXPECT_EQ(parse_strategy_spec("min-incoming-nsys").kind,
+  EXPECT_EQ(parse_strategy_spec("min-incoming-nsys").value().kind,
             StrategyKind::MinIncomingNsys);
-  EXPECT_EQ(parse_strategy_spec("min-average-queue").kind,
+  EXPECT_EQ(parse_strategy_spec("min-average-queue").value().kind,
             StrategyKind::MinAverageQueue);
-  EXPECT_EQ(parse_strategy_spec("min-average-nsys").kind,
+  EXPECT_EQ(parse_strategy_spec("min-average-nsys").value().kind,
             StrategyKind::MinAverageNsys);
 }
 

@@ -1,11 +1,10 @@
 // Injected-drift self-tests for the semantic-model rules, plus the JSON
 // output round trip. Each drift test builds a scratch tree in a temp dir
 // that lints clean, then re-injects the exact drift the rule exists to
-// catch — deleting a config_io serialize line, deleting a check_invariants
-// recount, duplicating a fork label — and asserts the lint produces exactly
-// the expected finding, nothing more. The baseline test closes the loop for
-// the new rule ids: model-rule findings must grandfather and resurface like
-// any text-rule finding.
+// catch — deleting a config_io serialize line, duplicating a fork label —
+// and asserts the lint produces exactly the expected finding, nothing more.
+// The baseline test closes the loop for the new rule ids: model-rule
+// findings must grandfather and resurface like any text-rule finding.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -105,58 +104,6 @@ const char kConfigIoDrift[] =
     "}\n"
     "}  // namespace fx\n";
 
-const char kMetricsClean[] =
-    "#pragma once\n"
-    "// Scratch metrics: both per-site counters recounted in\n"
-    "// check_invariants.\n"
-    "#include <cstdint>\n"
-    "namespace fx {\n"
-    "struct SiteMetrics {\n"
-    "  std::uint64_t commits = 0;\n"
-    "  std::uint64_t aborts = 0;\n"  // line 8: the aborts counter
-    "};\n"
-    "struct Metrics {\n"
-    "  std::uint64_t commits = 0;\n"
-    "  std::uint64_t aborts = 0;\n"
-    "};\n"
-    "inline void check_invariants(const Metrics& m, const SiteMetrics* sm,\n"
-    "                             int n) {\n"
-    "  std::uint64_t commit_sum = 0;\n"
-    "  std::uint64_t abort_sum = 0;\n"
-    "  for (int s = 0; s < n; ++s) {\n"
-    "    commit_sum += sm[s].commits;\n"
-    "    abort_sum += sm[s].aborts;\n"
-    "  }\n"
-    "  HLS_ASSERT(m.commits == commit_sum, \"commit double entry broke\");\n"
-    "  HLS_ASSERT(m.aborts == abort_sum, \"abort double entry broke\");\n"
-    "}\n"
-    "}  // namespace fx\n";
-
-// Same header with the aborts recount (and its assert) deleted.
-const char kMetricsDrift[] =
-    "#pragma once\n"
-    "// Scratch metrics: both per-site counters recounted in\n"
-    "// check_invariants.\n"
-    "#include <cstdint>\n"
-    "namespace fx {\n"
-    "struct SiteMetrics {\n"
-    "  std::uint64_t commits = 0;\n"
-    "  std::uint64_t aborts = 0;\n"  // line 8: the aborts counter
-    "};\n"
-    "struct Metrics {\n"
-    "  std::uint64_t commits = 0;\n"
-    "  std::uint64_t aborts = 0;\n"
-    "};\n"
-    "inline void check_invariants(const Metrics& m, const SiteMetrics* sm,\n"
-    "                             int n) {\n"
-    "  std::uint64_t commit_sum = 0;\n"
-    "  for (int s = 0; s < n; ++s) {\n"
-    "    commit_sum += sm[s].commits;\n"
-    "  }\n"
-    "  HLS_ASSERT(m.commits == commit_sum, \"commit double entry broke\");\n"
-    "}\n"
-    "}  // namespace fx\n";
-
 const char kForksClean[] =
     "// Scratch fork labels: two streams, two distinct labels.\n"
     "#include \"util/random.hpp\"\n"
@@ -201,22 +148,6 @@ TEST_F(HlslintModel, DeletingASerializeLineIsCaught) {
       << after.findings[0].message;
 }
 
-TEST_F(HlslintModel, DeletingARecountIsCaught) {
-  write_file("src/hybrid/metrics.hpp", kMetricsClean);
-  hlslint::LintResult before = hlslint::lint_tree(options());
-  ASSERT_TRUE(before.findings.empty())
-      << before.findings[0].file << ":" << before.findings[0].line << ": "
-      << before.findings[0].rule << ": " << before.findings[0].message;
-
-  write_file("src/hybrid/metrics.hpp", kMetricsDrift);
-  hlslint::LintResult after = hlslint::lint_tree(options());
-  ASSERT_EQ(after.findings.size(), 1u);
-  EXPECT_EQ(after.findings[0].rule, "counter-double-entry");
-  EXPECT_EQ(after.findings[0].file, "src/hybrid/metrics.hpp");
-  EXPECT_EQ(after.findings[0].line, 8);  // the per-site aborts declaration
-  EXPECT_NE(after.findings[0].message.find("aborts"), std::string::npos);
-}
-
 TEST_F(HlslintModel, DuplicatingAForkLabelIsCaught) {
   write_file("src/sim/streams.cpp", kForksClean);
   hlslint::LintResult before = hlslint::lint_tree(options());
@@ -237,33 +168,32 @@ TEST_F(HlslintModel, DuplicatingAForkLabelIsCaught) {
 // ---- baseline round trip for the model rules -----------------------------
 
 TEST_F(HlslintModel, ModelRuleFindingsRoundTripThroughBaseline) {
-  // All three drifts in one tree: three findings across three new rule ids.
+  // Both drifts in one tree: two findings across two model rule ids.
   write_file("src/hybrid/config.hpp", kConfigHpp);
   write_file("src/core/config_io.cpp", kConfigIoDrift);
-  write_file("src/hybrid/metrics.hpp", kMetricsDrift);
   write_file("src/sim/streams.cpp", kForksDrift);
 
   hlslint::Options opts = options();
   opts.use_baseline = true;
   hlslint::LintResult before = hlslint::lint_tree(opts);
-  ASSERT_EQ(before.findings.size(), 3u);
+  ASSERT_EQ(before.findings.size(), 2u);
 
   std::vector<std::string> keys = hlslint::compute_baseline_keys(opts);
-  ASSERT_EQ(keys.size(), 3u);
+  ASSERT_EQ(keys.size(), 2u);
   fs::create_directories(root_ / "tools" / "hlslint");
   ASSERT_TRUE(hlslint::write_baseline(
       (root_ / "tools" / "hlslint" / "baseline.txt").string(), keys));
   hlslint::LintResult suppressed = hlslint::lint_tree(opts);
   EXPECT_TRUE(suppressed.findings.empty());
-  EXPECT_EQ(suppressed.suppressed_baseline, 3);
+  EXPECT_EQ(suppressed.suppressed_baseline, 2);
   EXPECT_EQ(suppressed.stale_baseline, 0);
 
   // Fixing one drift (restoring the fork label) makes exactly its entry
-  // stale; the other two stay grandfathered.
+  // stale; the other stays grandfathered.
   write_file("src/sim/streams.cpp", kForksClean);
   hlslint::LintResult fixed = hlslint::lint_tree(opts);
   EXPECT_TRUE(fixed.findings.empty());
-  EXPECT_EQ(fixed.suppressed_baseline, 2);
+  EXPECT_EQ(fixed.suppressed_baseline, 1);
   EXPECT_EQ(fixed.stale_baseline, 1);
 }
 

@@ -64,7 +64,6 @@ TEST(HlslintRules, BadTreeFindsEveryRule) {
       {"src/core/drift_config_io.cpp", 10, "config-roundtrip"},
       {"src/core/drift_config_io.cpp", 12, "config-roundtrip"},
       {"src/core/drift_config_io.cpp", 21, "config-roundtrip"},
-      {"src/hybrid/drift_metrics.hpp", 8, "counter-double-entry"},
       {"src/sim/dup_fork.cpp", 8, "fork-label-unique"},
       {"src/sim/dup_fork.cpp", 9, "fork-label-unique"},
       {"src/obs/unit_drift.cpp", 7, "registry-unit"},
@@ -143,7 +142,7 @@ TEST(HlslintRules, RuleCatalogMatchesKnownRules) {
   EXPECT_FALSE(hlslint::known_rule("no-such-rule"));
   EXPECT_TRUE(hlslint::known_rule("config-roundtrip"));
   EXPECT_TRUE(hlslint::known_rule("bench-csv-schema"));
-  EXPECT_EQ(hlslint::rule_catalog().size(), 17u);
+  EXPECT_EQ(hlslint::rule_catalog().size(), 16u);
 }
 
 }  // namespace

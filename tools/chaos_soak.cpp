@@ -44,6 +44,7 @@ struct Options {
   int episodes = 100;
   std::string repro_path;
   std::string strategy;  ///< forced routing spec; empty = generator's pool
+  hls::StrategySpec strategy_spec;  ///< `strategy`, parsed
   std::string shrink_out = "chaos_repro.conf";
   bool use_fork = HLS_CHAOS_HAVE_FORK != 0;
 };
@@ -75,10 +76,14 @@ bool parse_args(int argc, char** argv, Options* opt) {
       }
     } else if (arg.rfind("--strategy=", 0) == 0) {
       opt->strategy = arg.substr(11);
-      if (opt->strategy.empty()) {
-        std::fprintf(stderr, "chaos_soak: empty --strategy value\n");
+      std::string error;
+      const std::optional<hls::StrategySpec> spec =
+          hls::parse_strategy_spec(opt->strategy, &error);
+      if (!spec.has_value()) {
+        std::fprintf(stderr, "chaos_soak: --strategy: %s\n", error.c_str());
         return false;
       }
+      opt->strategy_spec = *spec;
     } else if (arg.rfind("--repro=", 0) == 0) {
       opt->repro_path = arg.substr(8);
     } else if (arg.rfind("--shrink-out=", 0) == 0) {
@@ -215,7 +220,7 @@ int run_soak(const Options& opt) {
       // Force the episode onto the requested spec; the repro envelope and
       // the shrinker inherit it, so a failure still round-trips --repro.
       episode.config.chaos_strategy = opt.strategy;
-      episode.strategy = hls::parse_strategy_spec(opt.strategy);
+      episode.strategy = opt.strategy_spec;
       if (episode.strategy.adaptive && episode.config.adapt_interval <= 0.0) {
         episode.config.adapt_interval = 1.0;
       }

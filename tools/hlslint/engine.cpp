@@ -42,9 +42,6 @@ const std::vector<std::pair<std::string, std::string>>& rule_catalog() {
       {"config-roundtrip",
        "every scalar SystemConfig field has a parse case, a describe_config "
        "serialize line, and a Markdown mention (config_io round trip)"},
-      {"counter-double-entry",
-       "per-site counters with a same-named global twin in Metrics are "
-       "recounted (sum==global) in check_invariants"},
       {"fork-label-unique",
        "Rng::fork call sites in src/ carry a stream label, unique across "
        "the tree (duplicate labels silently correlate streams)"},

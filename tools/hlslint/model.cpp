@@ -1,9 +1,8 @@
 // Repo-model assembly (see model.hpp). One pass over the scanned files:
 // every extraction is keyed by artifact names (SystemConfig,
-// apply_config_override, describe_config, SiteMetrics/Metrics,
-// check_invariants, fork, the Registry methods) rather than fixed paths,
-// so fixture trees and scratch trees model the same contracts as the live
-// repo with a handful of small files.
+// apply_config_override, describe_config, fork, the Registry methods)
+// rather than fixed paths, so fixture trees and scratch trees model the
+// same contracts as the live repo with a handful of small files.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -145,53 +144,6 @@ void extract_config_io(const SourceFile& f, RepoModel& model) {
         }
       }
     }
-  }
-}
-
-bool counter_type(const ast::Field& fld) {
-  static const std::vector<std::string> kCounterTypes = {
-      "std::uint64_t", "uint64_t", "std::int64_t", "std::uint32_t",
-      "double",        "int",      "long long",    "std::size_t",
-  };
-  return std::find(kCounterTypes.begin(), kCounterTypes.end(), fld.type) !=
-         kCounterTypes.end();
-}
-
-void extract_counters(const SourceFile& f, RepoModel& model,
-                      bool& saw_site, bool& saw_global) {
-  for (const ast::Record& r : ast::records(f)) {
-    if (r.name == "SiteMetrics") {
-      saw_site = true;
-      for (const ast::Field& fld : ast::record_fields(f, r)) {
-        if (counter_type(fld)) {
-          model.site_counters.push_back(
-              CounterFieldModel{fld.name, ModelSite{f.path, fld.line}});
-        }
-      }
-    } else if (r.name == "Metrics") {
-      saw_global = true;
-      for (const ast::Field& fld : ast::record_fields(f, r)) {
-        if (counter_type(fld)) {
-          model.global_counters.insert(fld.name);
-        }
-      }
-    }
-  }
-}
-
-void extract_invariants(const SourceFile& f, RepoModel& model) {
-  for (const ast::Function& fn : ast::functions(f)) {
-    std::size_t n = fn.name.size();
-    bool match = fn.name == "check_invariants" ||
-                 (n > 17 && fn.name.compare(n - 17, 17,
-                                            ":check_invariants") == 0);
-    if (!match) {
-      continue;
-    }
-    model.has_invariants = true;
-    model.invariants_text +=
-        f.code_text.substr(fn.body_open, fn.body_close - fn.body_open);
-    model.invariants_text += '\n';
   }
 }
 
@@ -452,20 +404,15 @@ bool RepoModel::documented(const std::string& word) const {
 RepoModel build_model(const std::vector<SourceFile>& files,
                       const std::string& root) {
   RepoModel model;
-  bool saw_site = false;
-  bool saw_global = false;
   for (const SourceFile& f : files) {
     extract_config(f, model);
     extract_config_io(f, model);
-    extract_counters(f, model, saw_site, saw_global);
-    extract_invariants(f, model);
     extract_forks(f, model);
     extract_registrations(f, model);
     extract_csv_literals(f, model);
     extract_table_builds(f, model);
     model.include_edges += static_cast<int>(ast::includes(f).size());
   }
-  model.has_metrics_pair = saw_site && saw_global;
   model.docs_text = load_docs(root);
   return model;
 }

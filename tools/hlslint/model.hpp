@@ -8,8 +8,6 @@
 //
 //   * SystemConfig fields, config_io parse keys (`key == "x"`) and
 //     serialize keys (`out << "x="`), plus the concatenated docs text;
-//   * SiteMetrics / Metrics counter fields and the bodies of every
-//     check_invariants() overload (the double-entry ledger);
 //   * Rng::fork(...) call sites with their label literals;
 //   * obs::Registry registration sites with (name, unit);
 //   * "csv,"-prefixed format literals and literal-header Table builds in
@@ -22,7 +20,6 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -39,11 +36,6 @@ struct ModelSite {
 struct ConfigFieldModel {
   std::string name;
   std::string type;
-  ModelSite site;
-};
-
-struct CounterFieldModel {
-  std::string name;
   ModelSite site;
 };
 
@@ -87,13 +79,6 @@ struct RepoModel {
   std::map<std::string, ModelSite> serialize_keys;     // describe_config
   std::string docs_text;  // all *.md under <root> and <root>/docs
 
-  // ---- counter double entry ----
-  bool has_metrics_pair = false;    // both SiteMetrics and Metrics found
-  bool has_invariants = false;      // at least one check_invariants body
-  std::vector<CounterFieldModel> site_counters;  // counter-typed SiteMetrics
-  std::set<std::string> global_counters;         // counter-typed Metrics
-  std::string invariants_text;      // concatenated check_invariants bodies
-
   // ---- RNG stream labels ----
   std::vector<ForkSiteModel> forks;
 
@@ -119,9 +104,8 @@ RepoModel build_model(const std::vector<SourceFile>& files,
                       const std::string& root);
 
 /// Cross-artifact contract rules over the model (config-roundtrip,
-/// counter-double-entry, fork-label-unique, registry-unit,
-/// bench-csv-schema, bench-time-scale). `files` supplies the per-file
-/// context the bench rules need.
+/// fork-label-unique, registry-unit, bench-csv-schema, bench-time-scale).
+/// `files` supplies the per-file context the bench rules need.
 void check_model_rules(const RepoModel& model,
                        const std::vector<SourceFile>& files,
                        std::vector<Finding>& out);

@@ -99,28 +99,6 @@ void rule_config_roundtrip(const RepoModel& m, std::vector<Finding>& out) {
   }
 }
 
-// ---- counter-double-entry ------------------------------------------------
-//
-// A per-site counter with a same-named global twin in Metrics must be
-// recounted (sum-over-sites == global) in check_invariants.
-void rule_counter_double_entry(const RepoModel& m, std::vector<Finding>& out) {
-  if (!m.has_metrics_pair || !m.has_invariants) {
-    return;
-  }
-  for (const CounterFieldModel& c : m.site_counters) {
-    if (!m.global_counters.count(c.name)) {
-      continue;
-    }
-    if (!contains_word(m.invariants_text, c.name)) {
-      add(out, c.site, "counter-double-entry",
-          "per-site counter '" + c.name +
-              "' has a same-named global twin in Metrics but is never "
-              "recounted in check_invariants(); add the sum==global "
-              "double-entry assert");
-    }
-  }
-}
-
 // ---- fork-label-unique ---------------------------------------------------
 //
 // RNG streams forked under duplicate labels silently correlate streams the
@@ -300,7 +278,6 @@ void check_model_rules(const RepoModel& model,
                        const std::vector<SourceFile>& files,
                        std::vector<Finding>& out) {
   rule_config_roundtrip(model, out);
-  rule_counter_double_entry(model, out);
   rule_fork_label_unique(model, out);
   rule_registry_unit(model, out);
   rule_bench_csv_schema(model, out);

@@ -508,7 +508,8 @@ int cmd_gen(const std::string& out_path,
   hls::RunOptions opt;
   opt.warmup_seconds = 200.0 * scale;
   opt.measure_seconds = 1200.0 * scale;
-  const hls::StrategySpec spec = hls::parse_strategy_spec("min-average-nsys");
+  const hls::StrategySpec spec =
+      hls::parse_strategy_spec("min-average-nsys").value();
   const hls::RunResult result = hls::run_simulation(cfg, spec, opt);
   hls::write_run_artifact_file(out_path, result);
   std::printf("hlsreport gen: wrote %s (%zu metrics)\n", out_path.c_str(),
