@@ -13,6 +13,7 @@
 // Cross-check any operating point with strategy_explorer.
 #include <cstdio>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,7 +37,10 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  cfg.validate();
+  if (const std::optional<std::string> problem = cfg.check()) {
+    std::fprintf(stderr, "config: %s\n", problem->c_str());
+    return 1;
+  }
 
   const ModelParams params = ModelParams::from_config(cfg);
   std::printf(

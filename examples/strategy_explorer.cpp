@@ -129,14 +129,12 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  // Fault-window site ranges can only be checked after every --set has been
-  // applied (num_sites may come later than a fault= override).
-  std::string fault_error;
-  if (!cfg.faults.validate(cfg.num_sites, &fault_error)) {
-    std::fprintf(stderr, "--set fault schedule: %s\n", fault_error.c_str());
+  // Cross-field rules (fault-window sites, lockspace vs num_sites) can only
+  // be checked after every flag and --set has been applied.
+  if (const std::optional<std::string> problem = cfg.check()) {
+    std::fprintf(stderr, "config: %s\n", problem->c_str());
     return 1;
   }
-  cfg.validate();
   if (dump_config) {
     describe_config(std::cout, cfg);
     std::printf("\n");

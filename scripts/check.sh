@@ -153,6 +153,26 @@ if [[ $status -ne 2 || $(wc -l <"$BUILD/chaos_bad_strategy.err") -ne 1 ]] ||
 fi
 echo "chaos repro: malformed strategy spec rejected with exit 2"
 
+# The same for a value its config key does not allow: num_sites=0 must not
+# reach an HLS_ASSERT and num_sites=2.7 must not run as 2 sites; each is one
+# line naming the key and exit status 2.
+for value in 0 2.7; do
+  bad_repro="$BUILD/chaos_bad_sites.conf"
+  printf 'num_sites=%s\nchaos_strategy=static:0.3\nchaos_run_seconds=5\n' \
+    "$value" >"$bad_repro"
+  status=0
+  "./$BUILD/tools/chaos_soak" --repro="$bad_repro" >/dev/null \
+    2>"$BUILD/chaos_bad_sites.err" || status=$?
+  if [[ $status -ne 2 || $(wc -l <"$BUILD/chaos_bad_sites.err") -ne 1 ]] ||
+      ! grep -q "num_sites" "$BUILD/chaos_bad_sites.err"; then
+    echo "chaos repro: num_sites=$value gave exit $status, expected 2 and" \
+      "one line naming num_sites:" >&2
+    cat "$BUILD/chaos_bad_sites.err" >&2
+    exit 1
+  fi
+done
+echo "chaos repro: num_sites=0 and num_sites=2.7 rejected with exit 2"
+
 mark trace
 # Span-trace smoke: trace_inspector end to end on its faulted run with the
 # Perfetto exporter attached, then schema-check the JSON (parses, pid/tid/

@@ -1,25 +1,9 @@
-// SystemConfig serialization helpers: key=value overrides (CLI flags,
-// config files) and a human-readable description. Keeps experiment scripts
-// and the strategy_explorer example free of hand-rolled parsing.
-//
-// Recognized keys mirror the SystemConfig field names:
-//   num_sites local_mips central_mips comm_delay arrival_rate_per_site
-//   prob_class_a db_calls_per_txn instr_per_call instr_msg_init
-//   instr_msg_commit setup_io_time call_io_time prob_call_io
-//   prob_write_lock lockspace instr_ship_forward instr_apply_update
-//   instr_apply_update_item instr_recv_ack instr_auth_local
-//   instr_commit_apply_local instr_send_async instr_remote_call
-//   async_batch_window deadlock_victim (requester|youngest)
-//   class_b_mode (ship|remote-calls) seed abort_restart_delay max_reruns
-//   ideal_state_info (0|1) geometric_call_count (0|1)
-//   ship_timeout ship_backoff ship_max_retries ship_jitter
-//   fault_random_link_rate fault_random_link_duration fault_random_horizon
-//   fault_dup_prob fault_dup_delay fault_reorder_prob fault_reorder_window
-//   fault_spike_prob fault_spike_factor
-//   chaos_strategy chaos_run_seconds (chaos repro envelope; docs/CHAOS.md)
-//   fault=<window> (repeatable, appends; "fault=clear" resets; see
-//   sim/fault_schedule.hpp parse_fault_window for the window grammar)
-//   (local_mips_per_site is programmatic-only: set it in code)
+// SystemConfig text: key=value overrides (CLI flags, config files, chaos
+// repros) and a description that parses back to the same config. Keys,
+// their fields and their allowed values come from the one list in
+// hybrid/config.hpp (for_each_config_key); docs/CONFIG.md catalogues them.
+// The repeatable `fault=<window>` key appends a window (parse_fault_window
+// grammar in sim/fault_schedule.hpp); "fault=clear" resets the list.
 #pragma once
 
 #include <iosfwd>
@@ -32,17 +16,19 @@
 namespace hls {
 
 /// Applies one `key=value` override. Returns false (and fills `error` when
-/// non-null) for unknown keys or unparseable values; the config is only
-/// modified on success.
+/// non-null) for unknown keys and for values the key does not allow; the
+/// config is only modified on success.
 bool apply_config_override(SystemConfig& cfg, const std::string& assignment,
                            std::string* error = nullptr);
 
 /// Parses a config file: one `key=value` per line, '#' comments and blank
-/// lines ignored. Returns std::nullopt on the first bad line.
+/// lines ignored. Returns std::nullopt on the first bad line, or when the
+/// result fails SystemConfig::check().
 [[nodiscard]] std::optional<SystemConfig> parse_config_file(
     std::istream& in, const SystemConfig& base, std::string* error = nullptr);
 
-/// One-line-per-field description (valid input to parse_config_file).
+/// One line per key, doubles in shortest round-trip form: parsing it back
+/// gives the same config.
 void describe_config(std::ostream& out, const SystemConfig& cfg);
 
 }  // namespace hls

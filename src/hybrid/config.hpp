@@ -11,13 +11,19 @@
 // documented as a substitution in DESIGN.md.
 #pragma once
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "db/lock_types.hpp"
 #include "sim/fault_schedule.hpp"
 #include "util/assert.hpp"
+#include "util/table.hpp"
 
 namespace hls {
 
@@ -227,44 +233,229 @@ struct SystemConfig {
     return arrival_rate_per_site * num_sites;
   }
 
-  /// Aborts if the configuration is internally inconsistent.
+  /// The first violated rule as a message naming its key, or std::nullopt:
+  /// every key's allowed values (for_each_config_key below), then the
+  /// cross-field rules. Text entry points report it; validate() asserts it.
+  [[nodiscard]] std::optional<std::string> check() const;
+
+  /// Aborts if check() reports a problem (a library bug for configs built
+  /// in code; config text is checked before it gets here).
   void validate() const {
-    HLS_ASSERT(num_sites >= 1, "need at least one local site");
-    HLS_ASSERT(local_mips > 0 && central_mips > 0, "MIPS must be positive");
-    HLS_ASSERT(comm_delay >= 0, "negative communications delay");
-    HLS_ASSERT(arrival_rate_per_site >= 0, "negative arrival rate");
-    HLS_ASSERT(prob_class_a >= 0 && prob_class_a <= 1, "prob_class_a out of range");
-    HLS_ASSERT(db_calls_per_txn >= 1, "transactions need at least one DB call");
-    HLS_ASSERT(lockspace >= static_cast<std::uint32_t>(num_sites),
-               "lock space smaller than site count");
-    HLS_ASSERT(prob_write_lock >= 0 && prob_write_lock <= 1,
-               "prob_write_lock out of range");
-    HLS_ASSERT(prob_call_io >= 0 && prob_call_io <= 1, "prob_call_io out of range");
-    HLS_ASSERT(local_mips_per_site.empty() ||
-                   local_mips_per_site.size() == static_cast<std::size_t>(num_sites),
-               "local_mips_per_site must be empty or have num_sites entries");
-    for (double mips : local_mips_per_site) {
-      HLS_ASSERT(mips > 0, "per-site MIPS must be positive");
-    }
-    HLS_ASSERT(ship_timeout >= 0, "negative ship timeout");
-    HLS_ASSERT(ship_backoff >= 1.0, "ship_backoff must be at least 1");
-    HLS_ASSERT(ship_max_retries >= 0, "negative ship retry budget");
-    HLS_ASSERT(ship_jitter >= 0, "negative ship jitter");
-    HLS_ASSERT(chaos_run_seconds >= 0, "negative chaos run window");
-    HLS_ASSERT(adapt_interval >= 0, "negative adapt interval");
-    HLS_ASSERT(adapt_threshold_step >= 0, "negative adapt threshold step");
-    HLS_ASSERT(adapt_refusal_frac >= 0 && adapt_refusal_frac <= 1,
-               "adapt_refusal_frac out of range");
-    HLS_ASSERT(adapt_hot_conflicts >= 1, "adapt_hot_conflicts must be >= 1");
-    HLS_ASSERT(obs_sample_interval >= 0, "negative sample interval");
-    HLS_ASSERT(obs_span_sink.empty() ||
-                   obs_span_sink.rfind("perfetto:", 0) == 0 ||
-                   obs_span_sink.rfind("csv:", 0) == 0,
-               "obs_span_sink must be empty, perfetto:PATH, or csv:PATH");
-    HLS_ASSERT(report_top_k >= 0, "negative report_top_k");
-    HLS_ASSERT(obs_heat_buckets >= 0, "negative obs_heat_buckets");
-    HLS_ASSERT(faults.validate(num_sites), "invalid fault schedule");
+    const std::optional<std::string> problem = check();
+    HLS_ASSERT(!problem, problem->c_str());
   }
 };
+
+// ---- config keys ----------------------------------------------------------
+//
+// for_each_config_key() names every text key once, with the field it sets
+// and its allowed values. core/config_io parses and describes config text
+// by walking it, and SystemConfig::check() tests each field against it.
+// Each kind of allowed values has `allows(value)` and `need()`, the text
+// after "<key> must be " in the error for a value it does not allow.
+
+/// Allowed values of a numeric key: `lo` to `hi`, each end closed unless
+/// marked open. Values must also be finite; an integer or bool field takes
+/// whole numbers its type can hold.
+struct KeyRange {
+  double lo = 0.0;
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  bool hi_open = false;
+
+  [[nodiscard]] bool allows(double v) const {
+    // The lower test fails for NaN and -inf; an infinite `hi` is never
+    // reached, so +inf fails the upper one.
+    const bool below = hi_open || std::isinf(hi) ? v < hi : v <= hi;
+    return (lo_open ? v > lo : v >= lo) && below;
+  }
+
+  [[nodiscard]] std::string need() const {
+    if (!std::isinf(hi)) {
+      return (lo_open ? "in (" : "in [") + format_shortest(lo) + ", " +
+             format_shortest(hi) + (hi_open ? ")" : "]");
+    }
+    if (lo == 0) {
+      return lo_open ? "positive and finite" : "non-negative and finite";
+    }
+    return (lo_open ? "greater than " : "at least ") + format_shortest(lo) +
+           " and finite";
+  }
+};
+
+inline constexpr KeyRange kNonNegative{};
+inline constexpr KeyRange kPositive{.lo_open = true};
+inline constexpr KeyRange kUnitInterval{.hi = 1.0};
+inline constexpr KeyRange kUnitIntervalOpen{.hi = 1.0, .hi_open = true};
+inline constexpr KeyRange kFlag = kUnitInterval;  ///< bool fields: 0 or 1
+
+/// Spellings of an enum key, indexed by enumerator value.
+template <std::size_t N>
+struct KeyNames {
+  const char* names[N];
+
+  template <class E>
+  [[nodiscard]] bool allows(E v) const {
+    return static_cast<std::size_t>(v) < N;
+  }
+
+  [[nodiscard]] std::string need() const {
+    std::string text = names[0];
+    for (std::size_t i = 1; i < N; ++i) {
+      text += std::string("|") + names[i];
+    }
+    return text;
+  }
+};
+template <class... S>
+KeyNames(S...) -> KeyNames<sizeof...(S)>;
+
+/// A text key that is empty or one of `prefixes` followed by a path.
+template <std::size_t N>
+struct KeyPrefixes {
+  const char* prefixes[N];
+
+  [[nodiscard]] bool allows(const std::string& v) const {
+    for (const char* prefix : prefixes) {
+      if (v.rfind(prefix, 0) == 0) {
+        return true;
+      }
+    }
+    return v.empty();
+  }
+
+  [[nodiscard]] std::string need() const {
+    std::string text = "empty";
+    for (std::size_t i = 0; i < N; ++i) {
+      text += std::string(i + 1 < N ? ", " : ", or ") + prefixes[i] + "PATH";
+    }
+    return text;
+  }
+};
+template <class... S>
+KeyPrefixes(S...) -> KeyPrefixes<sizeof...(S)>;
+
+/// Any value of the field's type.
+struct KeyAny {
+  template <class T>
+  [[nodiscard]] bool allows(const T&) const {
+    return true;
+  }
+  [[nodiscard]] std::string need() const { return "any value"; }
+};
+
+/// The error for a value of `key` that `allowed` does not allow.
+template <class Allowed>
+[[nodiscard]] std::string key_error(const char* key, const Allowed& allowed) {
+  return std::string(key) + " must be " + allowed.need();
+}
+
+/// Calls `key(name, field, allowed)` for every config key, in the order
+/// describe_config writes them; `Config` is SystemConfig or const
+/// SystemConfig. The repeatable `fault=` key (parse_fault_window grammar)
+/// is not in the list.
+template <class Config, class Key>
+void for_each_config_key(Config& c, Key&& key) {
+  key("num_sites", c.num_sites, KeyRange{.lo = 1});
+  key("local_mips", c.local_mips, kPositive);
+  key("central_mips", c.central_mips, kPositive);
+  key("comm_delay", c.comm_delay, kNonNegative);
+  key("arrival_rate_per_site", c.arrival_rate_per_site, kNonNegative);
+  key("prob_class_a", c.prob_class_a, kUnitInterval);
+  key("db_calls_per_txn", c.db_calls_per_txn, KeyRange{.lo = 1});
+  key("instr_per_call", c.instr_per_call, kNonNegative);
+  key("instr_msg_init", c.instr_msg_init, kNonNegative);
+  key("instr_msg_commit", c.instr_msg_commit, kNonNegative);
+  key("setup_io_time", c.setup_io_time, kNonNegative);
+  key("call_io_time", c.call_io_time, kNonNegative);
+  key("prob_call_io", c.prob_call_io, kUnitInterval);
+  key("prob_write_lock", c.prob_write_lock, kUnitInterval);
+  key("lockspace", c.lockspace, kNonNegative);
+  key("instr_ship_forward", c.instr_ship_forward, kNonNegative);
+  key("instr_apply_update", c.instr_apply_update, kNonNegative);
+  key("instr_apply_update_item", c.instr_apply_update_item, kNonNegative);
+  key("instr_recv_ack", c.instr_recv_ack, kNonNegative);
+  key("instr_auth_local", c.instr_auth_local, kNonNegative);
+  key("instr_commit_apply_local", c.instr_commit_apply_local, kNonNegative);
+  key("instr_send_async", c.instr_send_async, kNonNegative);
+  key("instr_remote_call", c.instr_remote_call, kNonNegative);
+  key("async_batch_window", c.async_batch_window, kNonNegative);
+  key("deadlock_victim", c.deadlock_victim, KeyNames{"requester", "youngest"});
+  key("class_b_mode", c.class_b_mode, KeyNames{"ship", "remote-calls"});
+  key("seed", c.seed, KeyAny{});
+  key("abort_restart_delay", c.abort_restart_delay, kNonNegative);
+  key("max_reruns", c.max_reruns, kNonNegative);
+  key("livelock_backoff_after", c.livelock_backoff_after, kNonNegative);
+  key("livelock_backoff", c.livelock_backoff, kNonNegative);
+  key("ideal_state_info", c.ideal_state_info, kFlag);
+  key("geometric_call_count", c.geometric_call_count, kFlag);
+  key("ship_timeout", c.ship_timeout, kNonNegative);
+  key("ship_backoff", c.ship_backoff, KeyRange{.lo = 1});
+  key("ship_max_retries", c.ship_max_retries, kNonNegative);
+  key("ship_jitter", c.ship_jitter, kNonNegative);
+  key("obs_sample_interval", c.obs_sample_interval, kNonNegative);
+  key("obs_span_sink", c.obs_span_sink, KeyPrefixes{"perfetto:", "csv:"});
+  key("report_top_k", c.report_top_k, kNonNegative);
+  key("obs_resource_telemetry", c.obs_resource_telemetry, kFlag);
+  key("obs_heat_buckets", c.obs_heat_buckets, kNonNegative);
+  key("obs_artifact", c.obs_artifact, KeyAny{});
+  key("fault_random_link_rate", c.faults.random_link_outage_rate, kNonNegative);
+  key("fault_random_link_duration", c.faults.random_link_outage_mean,
+      kNonNegative);
+  key("fault_random_horizon", c.faults.random_horizon, kNonNegative);
+  key("fault_dup_prob", c.faults.dup_prob, kUnitIntervalOpen);
+  key("fault_dup_delay", c.faults.dup_extra, kNonNegative);
+  key("fault_reorder_prob", c.faults.reorder_prob, kUnitIntervalOpen);
+  key("fault_reorder_window", c.faults.reorder_window, kNonNegative);
+  key("fault_spike_prob", c.faults.spike_prob, kUnitIntervalOpen);
+  key("fault_spike_factor", c.faults.spike_factor, kNonNegative);
+  key("chaos_strategy", c.chaos_strategy, KeyAny{});
+  key("chaos_run_seconds", c.chaos_run_seconds, kNonNegative);
+  key("adapt_interval", c.adapt_interval, kNonNegative);
+  key("adapt_threshold_step", c.adapt_threshold_step, kNonNegative);
+  key("adapt_refusal_frac", c.adapt_refusal_frac, kUnitInterval);
+  key("adapt_hot_conflicts", c.adapt_hot_conflicts, KeyRange{.lo = 1});
+}
+
+inline std::optional<std::string> SystemConfig::check() const {
+  // Find the first key whose value is not allowed, then walk again to build
+  // its message: the walk every validate() runs stays a few compares per
+  // key, which keeps HybridSystem set-up time where it was.
+  const char* bad = nullptr;
+  for_each_config_key(*this, [&bad](const char* key, const auto& value,
+                                    const auto& allowed) {
+    if (bad == nullptr && !allowed.allows(value)) {
+      bad = key;
+    }
+  });
+  if (bad != nullptr) {
+    std::string message;
+    for_each_config_key(*this, [&](const char* key, const auto&,
+                                   const auto& allowed) {
+      if (std::string_view(key) == bad) {
+        message = key_error(key, allowed);
+      }
+    });
+    return message;
+  }
+  if (lockspace < static_cast<std::uint32_t>(num_sites)) {
+    return "lockspace must be at least num_sites (" + std::to_string(num_sites) +
+           ")";
+  }
+  if (!local_mips_per_site.empty() &&
+      local_mips_per_site.size() != static_cast<std::size_t>(num_sites)) {
+    return "local_mips_per_site must be empty or have num_sites entries";
+  }
+  for (double mips : local_mips_per_site) {
+    if (!kPositive.allows(mips)) {
+      return key_error("local_mips_per_site", kPositive);
+    }
+  }
+  std::string fault_error;
+  if (!faults.validate(num_sites, &fault_error)) {
+    return "fault schedule: " + fault_error;
+  }
+  return std::nullopt;
+}
 
 }  // namespace hls

@@ -1,9 +1,12 @@
 #include "sim/fault_schedule.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <tuple>
+
+#include "util/table.hpp"
 
 namespace hls {
 
@@ -53,7 +56,7 @@ bool window_ok(const FaultWindow& w, int num_sites, std::string* error) {
 bool parse_number(const std::string& text, double* out) {
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
-  if (text.empty() || end != text.c_str() + text.size()) {
+  if (text.empty() || end != text.c_str() + text.size() || !std::isfinite(v)) {
     return false;
   }
   *out = v;
@@ -108,26 +111,11 @@ bool FaultScheduleConfig::validate(int num_sites, std::string* error) const {
       return false;
     }
   }
-  if (random_link_outage_rate < 0.0 || random_link_outage_mean < 0.0 ||
-      random_horizon < 0.0) {
-    return fail(error, "random link-outage parameters must be non-negative");
-  }
   if (random_link_outage_rate > 0.0 && random_horizon > 0.0 &&
       random_link_outage_mean <= 0.0) {
     return fail(error,
                 "random link outages need a positive mean duration "
                 "(fault_random_link_duration)");
-  }
-  if (dup_prob < 0.0 || dup_prob >= 1.0 || reorder_prob < 0.0 ||
-      reorder_prob >= 1.0 || spike_prob < 0.0 || spike_prob >= 1.0) {
-    return fail(error,
-                "steady message-fault probabilities (fault_dup_prob, "
-                "fault_reorder_prob, fault_spike_prob) must be in [0, 1)");
-  }
-  if (dup_extra < 0.0 || reorder_window < 0.0 || spike_factor < 0.0) {
-    return fail(error,
-                "message-fault delays (fault_dup_delay, fault_reorder_window, "
-                "fault_spike_factor) must be non-negative");
   }
   return true;
 }
@@ -298,13 +286,15 @@ std::string format_fault_window(const FaultWindow& w) {
     }
     out << ':';
   }
-  out << w.start << ':' << w.duration;
+  // Shortest round-trip form: a described config replays the same run.
+  const auto num = format_shortest;
+  out << num(w.start) << ':' << num(w.duration);
   if (w.kind == FaultKind::LinkDegrade) {
-    out << ':' << w.delay_factor << ':' << w.loss_prob;
+    out << ':' << num(w.delay_factor) << ':' << num(w.loss_prob);
   }
   if (w.kind == FaultKind::MsgFault) {
-    out << ':' << w.dup_prob << ':' << w.reorder_prob << ':' << w.spike_prob
-        << ':' << w.spike_factor;
+    out << ':' << num(w.dup_prob) << ':' << num(w.reorder_prob) << ':'
+        << num(w.spike_prob) << ':' << num(w.spike_factor);
   }
   return out.str();
 }

@@ -80,8 +80,10 @@ struct FaultScheduleConfig {
            dup_prob <= 0.0 && reorder_prob <= 0.0 && spike_prob <= 0.0;
   }
 
-  /// User-facing validation (config files): returns false and fills `error`
-  /// for out-of-range sites, negative times, or unusable degrade parameters.
+  /// Window checks (out-of-range sites, negative times, unusable degrade or
+  /// msg_fault parameters) and the random-outage mean: returns false and
+  /// fills `error`. The scalar fields' ranges live in the config key list
+  /// (hybrid/config.hpp), which SystemConfig::check() applies first.
   [[nodiscard]] bool validate(int num_sites, std::string* error = nullptr) const;
 };
 

@@ -1,6 +1,7 @@
 #include "util/table.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -13,6 +14,11 @@ std::string format_double(double value, int precision) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << value;
   return os.str();
+}
+
+std::string format_shortest(double value) {
+  char buf[32];
+  return {buf, std::to_chars(buf, buf + sizeof buf, value).ptr};
 }
 
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {

@@ -43,4 +43,8 @@ class Table {
 /// Formats a double with fixed precision (helper shared with log output).
 std::string format_double(double value, int precision);
 
+/// The shortest decimal text that parses back to exactly `value`
+/// (std::to_chars), so config files and fault specs replay the same run.
+std::string format_shortest(double value);
+
 }  // namespace hls

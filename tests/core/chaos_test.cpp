@@ -168,6 +168,8 @@ TEST(Chaos, GeneratedEpisodeReproRoundTrips) {
   EXPECT_EQ(describe_chaos_episode(*parsed), describe_chaos_episode(e));
   const ChaosVerdict verdict = run_chaos_episode(*parsed);
   EXPECT_TRUE(verdict.passed());
+  // The repro replays the episode itself, not a rounded neighbour of it.
+  EXPECT_EQ(verdict.fingerprint, run_chaos_once(e).fingerprint);
 }
 
 TEST(Chaos, ParseReproRejectsMissingEnvelope) {

@@ -2,10 +2,31 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace hls {
 namespace {
+
+/// Every double a config holds, key-list fields then fault-window fields:
+/// equal vectors mean no value was rounded on the way through text.
+std::vector<double> all_doubles(const SystemConfig& c) {
+  std::vector<double> out;
+  for_each_config_key(c, [&out](const char*, const auto& value, const auto&) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(value)>, double>) {
+      out.push_back(value);
+    }
+  });
+  for (const FaultWindow& w : c.faults.windows) {
+    out.insert(out.end(), {w.start, w.duration, w.delay_factor, w.loss_prob,
+                           w.dup_prob, w.reorder_prob, w.spike_prob,
+                           w.spike_factor});
+  }
+  return out;
+}
 
 TEST(ConfigIo, AppliesNumericOverrides) {
   SystemConfig cfg;
@@ -102,6 +123,102 @@ TEST(ConfigIo, EveryDescribedKeyIsAccepted) {
     std::string error;
     EXPECT_TRUE(apply_config_override(cfg, line, &error)) << line << ": " << error;
   }
+}
+
+TEST(ConfigIo, EveryKeyRoundTrips) {
+  // Every listed key gets a non-default allowed value. Doubles sit one ulp
+  // below a short decimal, so they need all 17 significant digits to
+  // survive the trip through text.
+  SystemConfig cfg;
+  int n = 0;
+  for_each_config_key(cfg, [&n](const char* key, auto& field,
+                                const auto& allowed) {
+    using T = std::decay_t<decltype(field)>;
+    using Allowed = std::decay_t<decltype(allowed)>;
+    ++n;
+    if constexpr (std::is_same_v<T, double>) {
+      field = std::nextafter(allowed.lo + 0.25 + 0.01 * n, 0.0);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      field = !field;
+    } else if constexpr (std::is_enum_v<T>) {
+      field = static_cast<T>((static_cast<std::size_t>(field) + 1) %
+                             std::size(allowed.names));
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+      field = 18364758544493064720ULL;  // above 2^53
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if constexpr (std::is_same_v<Allowed, KeyAny>) {
+        field = std::string("text-for-") + key;
+      } else {
+        field = std::string(allowed.prefixes[0]) + "out/spans.json";
+      }
+    } else {
+      field += 3;
+    }
+  });
+  cfg.faults.windows.push_back({FaultKind::MsgFault, 1,
+                                std::nextafter(1.1, 0.0), 2.0 / 3.0, 1.0, 0.0,
+                                0.1 / 3.0, 0.2 / 3.0, 0.3 / 3.0, 10.0 / 3.0});
+  ASSERT_FALSE(cfg.check().has_value()) << *cfg.check();
+
+  std::ostringstream first;
+  describe_config(first, cfg);
+  std::istringstream in(first.str());
+  std::string error;
+  const auto parsed = parse_config_file(in, SystemConfig{}, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  std::ostringstream second;
+  describe_config(second, *parsed);
+  EXPECT_EQ(first.str(), second.str());
+  EXPECT_EQ(all_doubles(*parsed), all_doubles(cfg));
+
+  // Each key line differs from the default config's line.
+  std::ostringstream defaults;
+  describe_config(defaults, SystemConfig{});
+  std::istringstream changed_lines(first.str());
+  std::istringstream default_lines(defaults.str());
+  std::string changed;
+  std::string unchanged;
+  int keys = 0;
+  while (std::getline(default_lines, unchanged) &&
+         std::getline(changed_lines, changed)) {
+    if (unchanged[0] != '#') {
+      ++keys;
+      EXPECT_NE(changed, unchanged);
+    }
+  }
+  EXPECT_EQ(keys, n);
+}
+
+TEST(ConfigIo, RejectsOutOfRangeValues) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"num_sites=0", "num_sites"},
+      {"local_mips=-1", "local_mips"},
+      {"prob_class_a=2", "prob_class_a"},
+      {"db_calls_per_txn=0", "db_calls_per_txn"},
+      {"comm_delay=nan", "comm_delay"},
+      {"instr_per_call=-1", "instr_per_call"},
+      {"num_sites=2.7", "num_sites"},
+      {"num_sites=1e12", "num_sites"},
+      {"ideal_state_info=2", "ideal_state_info"},
+      {"fault=central_outage:nan:2", "fault"},
+      {"fault=central_outage:1:inf", "fault"},
+  };
+  for (const auto& [assignment, key] : cases) {
+    SystemConfig cfg;
+    std::string error;
+    EXPECT_FALSE(apply_config_override(cfg, assignment, &error)) << assignment;
+    EXPECT_NE(error.find(key), std::string::npos) << assignment << ": " << error;
+  }
+  // A whole number written with an exponent is still a whole number.
+  SystemConfig cfg;
+  EXPECT_TRUE(apply_config_override(cfg, "lockspace=1e4"));
+  EXPECT_EQ(cfg.lockspace, 10000u);
+
+  // Cross-field rules run once the whole file is read.
+  std::istringstream in("lockspace=3\n");
+  std::string error;
+  EXPECT_FALSE(parse_config_file(in, SystemConfig{}, &error).has_value());
+  EXPECT_NE(error.find("lockspace"), std::string::npos) << error;
 }
 
 TEST(ConfigIo, FaultWindowsAccumulateAndClear) {

@@ -1,7 +1,7 @@
 // Injected-drift self-tests for the semantic-model rules, plus the JSON
 // output round trip. Each drift test builds a scratch tree in a temp dir
 // that lints clean, then re-injects the exact drift the rule exists to
-// catch — deleting a config_io serialize line, duplicating a fork label —
+// catch — deleting a config key list entry, duplicating a fork label —
 // and asserts the lint produces exactly the expected finding, nothing more.
 // The baseline test closes the loop for the new rule ids: model-rule
 // findings must grandfather and resurface like any text-rule finding.
@@ -51,56 +51,34 @@ class HlslintModel : public ::testing::Test {
 
 // ---- scratch-tree sources -------------------------------------------------
 
-const char kConfigHpp[] =
+const char kConfigClean[] =
     "#pragma once\n"
-    "// Scratch config: both scalar fields must round-trip.\n"
+    "// Scratch config: both scalar fields are in the key list.\n"
     "namespace fx {\n"
     "struct SystemConfig {\n"
     "  double alpha = 1.5;\n"
-    "  double beta = 0.25;\n"
+    "  double beta = 0.25;\n"  // line 6: the beta field
     "};\n"
-    "}  // namespace fx\n";
-
-const char kConfigIoClean[] =
-    "// Scratch config io: parse and serialize both keys.\n"
-    "#include \"hybrid/config.hpp\"\n"
-    "namespace fx {\n"
-    "bool apply_config_override(SystemConfig& c, const char* key, double v) {\n"
-    "  if (key == \"alpha\") {\n"
-    "    c.alpha = v;\n"
-    "    return true;\n"
-    "  }\n"
-    "  if (key == \"beta\") {\n"  // line 9: the beta parse case
-    "    c.beta = v;\n"
-    "    return true;\n"
-    "  }\n"
-    "  return false;\n"
-    "}\n"
-    "void describe_config(const SystemConfig& c, Stream& out) {\n"
-    "  out << \"alpha=\" << c.alpha;\n"
-    "  out << \"beta=\" << c.beta;\n"
+    "template <class Config, class Key>\n"
+    "void for_each_config_key(Config& c, Key&& key) {\n"
+    "  key(\"alpha\", c.alpha, kNonNegative);\n"
+    "  key(\"beta\", c.beta, kNonNegative);\n"
     "}\n"
     "}  // namespace fx\n";
 
-// Same file with the `beta=` serialize line deleted: the described run
-// would silently drop beta on replay.
-const char kConfigIoDrift[] =
-    "// Scratch config io: parse and serialize both keys.\n"
-    "#include \"hybrid/config.hpp\"\n"
+// Same file with the beta list entry deleted: config text can no longer set
+// beta, and a described run would silently drop it on replay.
+const char kConfigDrift[] =
+    "#pragma once\n"
+    "// Scratch config: both scalar fields are in the key list.\n"
     "namespace fx {\n"
-    "bool apply_config_override(SystemConfig& c, const char* key, double v) {\n"
-    "  if (key == \"alpha\") {\n"
-    "    c.alpha = v;\n"
-    "    return true;\n"
-    "  }\n"
-    "  if (key == \"beta\") {\n"  // line 9: the beta parse case
-    "    c.beta = v;\n"
-    "    return true;\n"
-    "  }\n"
-    "  return false;\n"
-    "}\n"
-    "void describe_config(const SystemConfig& c, Stream& out) {\n"
-    "  out << \"alpha=\" << c.alpha;\n"
+    "struct SystemConfig {\n"
+    "  double alpha = 1.5;\n"
+    "  double beta = 0.25;\n"  // line 6: the beta field
+    "};\n"
+    "template <class Config, class Key>\n"
+    "void for_each_config_key(Config& c, Key&& key) {\n"
+    "  key(\"alpha\", c.alpha, kNonNegative);\n"
     "}\n"
     "}  // namespace fx\n";
 
@@ -129,21 +107,20 @@ const char kForksDrift[] =
 
 // ---- injected-drift self-tests -------------------------------------------
 
-TEST_F(HlslintModel, DeletingASerializeLineIsCaught) {
-  write_file("src/hybrid/config.hpp", kConfigHpp);
-  write_file("src/core/config_io.cpp", kConfigIoClean);
+TEST_F(HlslintModel, DeletingAKeyListEntryIsCaught) {
+  write_file("src/hybrid/config.hpp", kConfigClean);
   hlslint::LintResult before = hlslint::lint_tree(options());
   ASSERT_TRUE(before.findings.empty())
       << before.findings[0].file << ":" << before.findings[0].line << ": "
       << before.findings[0].rule << ": " << before.findings[0].message;
 
-  write_file("src/core/config_io.cpp", kConfigIoDrift);
+  write_file("src/hybrid/config.hpp", kConfigDrift);
   hlslint::LintResult after = hlslint::lint_tree(options());
   ASSERT_EQ(after.findings.size(), 1u);
   EXPECT_EQ(after.findings[0].rule, "config-roundtrip");
-  EXPECT_EQ(after.findings[0].file, "src/core/config_io.cpp");
-  EXPECT_EQ(after.findings[0].line, 9);  // the now-orphaned beta parse case
-  EXPECT_NE(after.findings[0].message.find("never serialized"),
+  EXPECT_EQ(after.findings[0].file, "src/hybrid/config.hpp");
+  EXPECT_EQ(after.findings[0].line, 6);  // the now-unlisted beta field
+  EXPECT_NE(after.findings[0].message.find("no entry in the config key list"),
             std::string::npos)
       << after.findings[0].message;
 }
@@ -169,8 +146,7 @@ TEST_F(HlslintModel, DuplicatingAForkLabelIsCaught) {
 
 TEST_F(HlslintModel, ModelRuleFindingsRoundTripThroughBaseline) {
   // Both drifts in one tree: two findings across two model rule ids.
-  write_file("src/hybrid/config.hpp", kConfigHpp);
-  write_file("src/core/config_io.cpp", kConfigIoDrift);
+  write_file("src/hybrid/config.hpp", kConfigDrift);
   write_file("src/sim/streams.cpp", kForksDrift);
 
   hlslint::Options opts = options();

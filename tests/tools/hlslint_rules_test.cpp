@@ -60,10 +60,8 @@ TEST(HlslintRules, BadTreeFindsEveryRule) {
       {"src/hybrid/composed_metric_name.cpp", 9, "registry-name"},
       {"src/hybrid/composed_metric_name.cpp", 10, "registry-name"},
       // v2 semantic-model rules and the dataflow-backed rule upgrades.
-      {"src/hybrid/drift_config.hpp", 6, "config-roundtrip"},
-      {"src/core/drift_config_io.cpp", 10, "config-roundtrip"},
-      {"src/core/drift_config_io.cpp", 12, "config-roundtrip"},
-      {"src/core/drift_config_io.cpp", 21, "config-roundtrip"},
+      {"src/hybrid/drift_config.hpp", 7, "config-roundtrip"},
+      {"src/hybrid/drift_config.hpp", 14, "config-roundtrip"},
       {"src/sim/dup_fork.cpp", 8, "fork-label-unique"},
       {"src/sim/dup_fork.cpp", 9, "fork-label-unique"},
       {"src/obs/unit_drift.cpp", 7, "registry-unit"},

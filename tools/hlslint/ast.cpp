@@ -324,8 +324,19 @@ void scan_statements(const SourceFile& f, OnBlock on_block) {
 /// True when the '{'-terminated statement opens a scope functions can live
 /// in directly (namespace or record body).
 bool transparent_scope(const std::string& stmt) {
-  return contains_word(stmt, "namespace") || contains_word(stmt, "struct") ||
-         contains_word(stmt, "class") || contains_word(stmt, "union");
+  // Look past a leading `template <...>` head: `template <class T> void f()`
+  // is a function, not a class scope.
+  std::size_t from = 0;
+  const std::size_t first = stmt.find_first_not_of(' ');
+  if (first != std::string::npos && stmt.compare(first, 8, "template") == 0) {
+    const std::size_t lt = stmt.find('<', first);
+    const std::size_t gt =
+        lt == std::string::npos ? lt : match_forward(stmt, lt, '<', '>');
+    from = gt == std::string::npos ? 0 : gt + 1;
+  }
+  const std::string head = stmt.substr(from);
+  return contains_word(head, "namespace") || contains_word(head, "struct") ||
+         contains_word(head, "class") || contains_word(head, "union");
 }
 
 }  // namespace

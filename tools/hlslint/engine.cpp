@@ -40,8 +40,8 @@ const std::vector<std::pair<std::string, std::string>>& rule_catalog() {
        "obs::Registry registrations pass string-literal stable names; only "
        "the registry composes prefixes and bucket suffixes"},
       {"config-roundtrip",
-       "every scalar SystemConfig field has a parse case, a describe_config "
-       "serialize line, and a Markdown mention (config_io round trip)"},
+       "every scalar SystemConfig field has a config key list entry, and "
+       "every listed key has a Markdown mention"},
       {"fork-label-unique",
        "Rng::fork call sites in src/ carry a stream label, unique across "
        "the tree (duplicate labels silently correlate streams)"},

@@ -1,6 +1,6 @@
 // Repo-model assembly (see model.hpp). One pass over the scanned files:
 // every extraction is keyed by artifact names (SystemConfig,
-// apply_config_override, describe_config, fork, the Registry methods)
+// for_each_config_key, fork, the Registry methods)
 // rather than fixed paths, so fixture trees and scratch trees model the
 // same contracts as the live repo with a handful of small files.
 #include <algorithm>
@@ -38,32 +38,6 @@ bool is_identifier(const std::string& s) {
     }
   }
   return true;
-}
-
-/// The identifier chain directly left of `pos` after skipping whitespace.
-std::string ident_before(const std::string& s, std::size_t pos) {
-  std::size_t i = pos;
-  while (i > 0 && (s[i - 1] == ' ' || s[i - 1] == '\n')) {
-    --i;
-  }
-  std::size_t stop = i;
-  while (i > 0 && ident_char(s[i - 1])) {
-    --i;
-  }
-  return s.substr(i, stop - i);
-}
-
-/// True when only '==' (with optional whitespace) separates `pos` from the
-/// identifier `key` on its left: the `key == "x"` parse-case shape.
-bool preceded_by_key_eq(const std::string& s, std::size_t pos) {
-  std::size_t i = pos;
-  while (i > 0 && (s[i - 1] == ' ' || s[i - 1] == '\n')) {
-    --i;
-  }
-  if (i < 2 || s[i - 1] != '=' || s[i - 2] != '=') {
-    return false;
-  }
-  return ident_before(s, i - 2) == "key";
 }
 
 /// Joins literal `i` with directly-adjacent following literals (only
@@ -110,39 +84,42 @@ void extract_config(const SourceFile& f, RepoModel& model) {
   }
 }
 
-void extract_config_io(const SourceFile& f, RepoModel& model) {
-  std::vector<ast::Function> fns = ast::functions(f);
-  std::vector<ast::StringLit> lits = ast::string_literals(f);
-  for (const ast::Function& fn : fns) {
-    bool is_parse = fn.name == "apply_config_override" ||
-                    (fn.name.size() > 21 &&
-                     fn.name.compare(fn.name.size() - 21, 21,
-                                     "apply_config_override") == 0);
-    bool is_serialize = fn.name == "describe_config" ||
-                        (fn.name.size() > 15 &&
-                         fn.name.compare(fn.name.size() - 15, 15,
-                                         "describe_config") == 0);
-    if (!is_parse && !is_serialize) {
+/// Entries of the config key list: inside a for_each_config_key body, every
+/// `key("name", c.field, ...)` call names a key (the first argument, an
+/// identifier literal) and the member chain it sets (the second argument,
+/// recorded without the config parameter: "num_sites", "faults.dup_prob").
+void extract_config_keys(const SourceFile& f, RepoModel& model) {
+  const std::string& text = f.code_text;
+  const std::vector<ast::StringLit> lits = ast::string_literals(f);
+  for (const ast::Function& fn : ast::functions(f)) {
+    if (fn.name != "for_each_config_key") {
       continue;
     }
-    model.has_config_io = true;
+    model.has_config_keys = true;
     for (const ast::StringLit& lit : lits) {
-      if (lit.offset <= fn.body_open || lit.offset >= fn.body_close) {
+      if (lit.offset <= fn.body_open || lit.offset >= fn.body_close ||
+          !is_identifier(lit.value)) {
         continue;
       }
-      if (is_parse) {
-        if (preceded_by_key_eq(f.code_text, lit.offset) &&
-            is_identifier(lit.value)) {
-          model.parse_keys.emplace(lit.value, ModelSite{f.path, lit.line});
-        }
-      } else {
-        // Serialize keys are `"<key>="` stream literals.
-        if (lit.value.size() >= 2 && lit.value.back() == '=' &&
-            is_identifier(lit.value.substr(0, lit.value.size() - 1))) {
-          model.serialize_keys.emplace(lit.value.substr(0, lit.value.size() - 1),
-                                       ModelSite{f.path, lit.line});
-        }
+      const std::size_t open = text.find_last_not_of(" \n", lit.offset - 1);
+      const std::size_t comma =
+          text.find_first_not_of(" \n", lit.offset + lit.value.size() + 2);
+      if (open == std::string::npos || text[open] != '(' ||
+          comma == std::string::npos || text[comma] != ',') {
+        continue;
       }
+      const std::size_t begin = text.find_first_not_of(" \n", comma + 1);
+      std::size_t end = begin;
+      while (end < text.size() && (ident_char(text[end]) || text[end] == '.')) {
+        ++end;
+      }
+      const std::size_t dot = text.find('.', begin);
+      if (begin == std::string::npos || dot >= end) {
+        continue;
+      }
+      model.config_keys.push_back(ConfigKeyModel{
+          lit.value, text.substr(dot + 1, end - dot - 1),
+          ModelSite{f.path, lit.line}});
     }
   }
 }
@@ -406,7 +383,7 @@ RepoModel build_model(const std::vector<SourceFile>& files,
   RepoModel model;
   for (const SourceFile& f : files) {
     extract_config(f, model);
-    extract_config_io(f, model);
+    extract_config_keys(f, model);
     extract_forks(f, model);
     extract_registrations(f, model);
     extract_csv_literals(f, model);

@@ -6,8 +6,9 @@
 // (tools/hlslint/ast.hpp) and records where every fact came from, so a
 // rule can anchor its finding on the declaration that needs fixing:
 //
-//   * SystemConfig fields, config_io parse keys (`key == "x"`) and
-//     serialize keys (`out << "x="`), plus the concatenated docs text;
+//   * SystemConfig fields and the config key list entries
+//     (`key("x", c.field, ...)` in for_each_config_key), plus the
+//     concatenated docs text;
 //   * Rng::fork(...) call sites with their label literals;
 //   * obs::Registry registration sites with (name, unit);
 //   * "csv,"-prefixed format literals and literal-header Table builds in
@@ -19,7 +20,6 @@
 // corresponding `has_*` gate before firing.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -36,6 +36,14 @@ struct ModelSite {
 struct ConfigFieldModel {
   std::string name;
   std::string type;
+  ModelSite site;
+};
+
+/// One config key list entry: the key and the member chain it sets,
+/// relative to the config ("num_sites", "faults.dup_prob").
+struct ConfigKeyModel {
+  std::string key;
+  std::string field;
   ModelSite site;
 };
 
@@ -73,10 +81,9 @@ struct TableBuildModel {
 struct RepoModel {
   // ---- config round trip ----
   bool has_config_struct = false;
-  bool has_config_io = false;
-  std::vector<ConfigFieldModel> config_fields;         // SystemConfig members
-  std::map<std::string, ModelSite> parse_keys;         // apply_config_override
-  std::map<std::string, ModelSite> serialize_keys;     // describe_config
+  bool has_config_keys = false;
+  std::vector<ConfigFieldModel> config_fields;  // SystemConfig members
+  std::vector<ConfigKeyModel> config_keys;      // for_each_config_key entries
   std::string docs_text;  // all *.md under <root> and <root>/docs
 
   // ---- RNG stream labels ----

@@ -3,6 +3,7 @@
 // so fixture trees exercising one contract stay silent on the others.
 #include <algorithm>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -49,12 +50,18 @@ void add(std::vector<Finding>& out, const ModelSite& site,
 
 // ---- config-roundtrip ----------------------------------------------------
 //
-// Every SystemConfig field must be parsed by apply_config_override AND
-// serialized by describe_config AND mentioned in the Markdown docs; keys
-// that exist on only one side of the parse/serialize pair are drift.
+// Config text is parsed and described by walking one key list
+// (for_each_config_key), so parse and serialize cannot drift apart. What can
+// drift: a scalar SystemConfig field with no list entry (text cannot set
+// it, and a described run silently drops it), and a key the Markdown docs
+// never mention.
 void rule_config_roundtrip(const RepoModel& m, std::vector<Finding>& out) {
-  if (!m.has_config_struct || !m.has_config_io) {
+  if (!m.has_config_struct || !m.has_config_keys) {
     return;
+  }
+  std::set<std::string> listed;
+  for (const ConfigKeyModel& k : m.config_keys) {
+    listed.insert(k.field);
   }
   for (const ConfigFieldModel& f : m.config_fields) {
     // Aggregate members (vectors, nested *Config structs) are configured
@@ -63,35 +70,19 @@ void rule_config_roundtrip(const RepoModel& m, std::vector<Finding>& out) {
         ends_with(f.type, "Config")) {
       continue;
     }
-    if (!m.parse_keys.count(f.name)) {
+    if (!listed.count(f.name)) {
       add(out, f.site, "config-roundtrip",
           "config field '" + f.name +
-              "' has no `key == \"" + f.name +
-              "\"` parse case in apply_config_override; every scalar "
-              "SystemConfig field must round-trip through config_io");
-    }
-  }
-  for (const auto& [key, site] : m.parse_keys) {
-    if (!m.serialize_keys.count(key)) {
-      add(out, site, "config-roundtrip",
-          "config key '" + key +
-              "' is parsed but never serialized by describe_config; a "
-              "described run would silently drop it on replay");
-    }
-  }
-  for (const auto& [key, site] : m.serialize_keys) {
-    if (!m.parse_keys.count(key)) {
-      add(out, site, "config-roundtrip",
-          "config key '" + key +
-              "' is serialized by describe_config but has no parse case in "
-              "apply_config_override; a described run cannot be replayed");
+              "' has no entry in the config key list (for_each_config_key); "
+              "every scalar SystemConfig field must round-trip through "
+              "config text");
     }
   }
   if (!m.docs_text.empty()) {
-    for (const auto& [key, site] : m.parse_keys) {
-      if (!m.documented(key)) {
-        add(out, site, "config-roundtrip",
-            "config key '" + key +
+    for (const ConfigKeyModel& k : m.config_keys) {
+      if (!m.documented(k.key)) {
+        add(out, k.site, "config-roundtrip",
+            "config key '" + k.key +
                 "' is not documented in any Markdown file; add it to the "
                 "docs/CONFIG.md key catalogue");
       }

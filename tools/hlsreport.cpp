@@ -504,6 +504,10 @@ int cmd_gen(const std::string& out_path,
       return 2;
     }
   }
+  if (const std::optional<std::string> problem = cfg.check()) {
+    std::fprintf(stderr, "hlsreport gen: %s\n", problem->c_str());
+    return 2;
+  }
   const double scale = hls::time_scale_from_env();
   hls::RunOptions opt;
   opt.warmup_seconds = 200.0 * scale;
