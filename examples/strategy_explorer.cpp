@@ -21,11 +21,15 @@
 //   --dump-config                                print the resolved config
 //                                                (reloadable via --set lines)
 //
+// --sites through --seed set one config key each and take the values that
+// key allows (docs/CONFIG.md); a value a flag does not allow is a one-line
+// error naming the flag, with exit status 1.
+//
 // Strategies are named as in routing/factory.hpp, e.g.:
 //   ./strategy_explorer --tps=30 no-load-sharing static-optimal
 //       util-threshold:-0.2 min-average-nsys
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -36,13 +40,44 @@
 
 namespace {
 
-bool parse_flag(const std::string& arg, const char* key, double* out) {
-  const std::string prefix = std::string("--") + key + "=";
-  if (arg.rfind(prefix, 0) != 0) {
-    return false;
+// Flags that set one config key each. Their values go through
+// apply_config_override, so the key list's rule for the key checks them.
+struct ConfigFlag {
+  const char* flag;
+  const char* key;
+};
+constexpr ConfigFlag kConfigFlags[] = {
+    {"--sites", "num_sites"},       {"--central-mips", "central_mips"},
+    {"--local-mips", "local_mips"}, {"--delay", "comm_delay"},
+    {"--ploc", "prob_class_a"},     {"--pwrite", "prob_write_lock"},
+    {"--lockspace", "lockspace"},   {"--seed", "seed"},
+};
+
+// Flags that set a run option, parsed whole and checked against `range`.
+struct RunFlag {
+  const char* flag;
+  double* value;
+  hls::KeyRange range;
+};
+
+template <class Flag, std::size_t N>
+const Flag* find_flag(const Flag (&flags)[N], const std::string& name) {
+  for (const Flag& f : flags) {
+    if (name == f.flag) {
+      return &f;
+    }
   }
-  *out = std::stod(arg.substr(prefix.size()));
-  return true;
+  return nullptr;
+}
+
+/// Parses all of `text` as a number; empty when it is not one.
+std::optional<double> parse_number(const std::string& text) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size()) {
+    return std::nullopt;
+  }
+  return v;
 }
 
 }  // namespace
@@ -50,17 +85,13 @@ bool parse_flag(const std::string& arg, const char* key, double* out) {
 int main(int argc, char** argv) {
   using namespace hls;
 
+  SystemConfig cfg;  // the paper's baseline
   double tps = 24.0;
-  double sites = 10;
-  double central_mips = 15.0;
-  double local_mips = 1.0;
-  double delay = 0.2;
-  double ploc = 0.75;
-  double pwrite = 0.25;
-  double lockspace = 32768;
   double warmup = 150.0;
   double measure = 800.0;
-  double seed = 1;
+  const RunFlag run_flags[] = {{"--tps", &tps, kNonNegative},
+                               {"--warmup", &warmup, kNonNegative},
+                               {"--measure", &measure, kPositive}};
   bool with_model = false;
   bool dump_config = false;
   std::vector<std::string> overrides;
@@ -68,14 +99,26 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (parse_flag(arg, "tps", &tps) || parse_flag(arg, "sites", &sites) ||
-        parse_flag(arg, "central-mips", &central_mips) ||
-        parse_flag(arg, "local-mips", &local_mips) ||
-        parse_flag(arg, "delay", &delay) || parse_flag(arg, "ploc", &ploc) ||
-        parse_flag(arg, "pwrite", &pwrite) ||
-        parse_flag(arg, "lockspace", &lockspace) ||
-        parse_flag(arg, "warmup", &warmup) ||
-        parse_flag(arg, "measure", &measure) || parse_flag(arg, "seed", &seed)) {
+    // `flag` is empty, and matches no flag, when the argument has no value.
+    const auto eq = arg.find('=');
+    const std::string flag = eq == std::string::npos ? "" : arg.substr(0, eq);
+    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    if (const ConfigFlag* f = find_flag(kConfigFlags, flag)) {
+      std::string error;
+      if (!apply_config_override(cfg, std::string(f->key) + "=" + value, &error)) {
+        std::fprintf(stderr, "%s: %s\n", arg.c_str(), error.c_str());
+        return 1;
+      }
+      continue;
+    }
+    if (const RunFlag* f = find_flag(run_flags, flag)) {
+      const std::optional<double> v = parse_number(value);
+      if (!v.has_value() || !f->range.allows(*v)) {
+        std::fprintf(stderr, "%s: must be a number, %s\n", arg.c_str(),
+                     f->range.need().c_str());
+        return 1;
+      }
+      *f->value = *v;
       continue;
     }
     if (arg == "--model") {
@@ -112,16 +155,7 @@ int main(int argc, char** argv) {
     specs.push_back(*spec);
   }
 
-  SystemConfig cfg;
-  cfg.num_sites = static_cast<int>(sites);
   cfg.arrival_rate_per_site = tps / cfg.num_sites;
-  cfg.central_mips = central_mips;
-  cfg.local_mips = local_mips;
-  cfg.comm_delay = delay;
-  cfg.prob_class_a = ploc;
-  cfg.prob_write_lock = pwrite;
-  cfg.lockspace = static_cast<std::uint32_t>(lockspace);
-  cfg.seed = static_cast<std::uint64_t>(seed);
   for (const std::string& assignment : overrides) {
     std::string error;
     if (!apply_config_override(cfg, assignment, &error)) {

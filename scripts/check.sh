@@ -173,6 +173,24 @@ for value in 0 2.7; do
 done
 echo "chaos repro: num_sites=0 and num_sites=2.7 rejected with exit 2"
 
+mark cli
+# strategy_explorer's own flags are user input too: text and fractions must
+# be a one-line error naming the flag and exit status 1, never an uncaught
+# exception or a run with a truncated value.
+for arg in --tps=abc --sites=2.7; do
+  status=0
+  "./$BUILD/examples/strategy_explorer" "$arg" no-load-sharing >/dev/null \
+    2>"$BUILD/explorer_bad_flag.err" || status=$?
+  if [[ $status -ne 1 || $(wc -l <"$BUILD/explorer_bad_flag.err") -ne 1 ]] ||
+      ! grep -qF -- "${arg%%=*}" "$BUILD/explorer_bad_flag.err"; then
+    echo "strategy_explorer: $arg gave exit $status, expected 1 and one line" \
+      "naming the flag:" >&2
+    cat "$BUILD/explorer_bad_flag.err" >&2
+    exit 1
+  fi
+done
+echo "cli: strategy_explorer --tps=abc and --sites=2.7 rejected with exit 1"
+
 mark trace
 # Span-trace smoke: trace_inspector end to end on its faulted run with the
 # Perfetto exporter attached, then schema-check the JSON (parses, pid/tid/
@@ -260,7 +278,7 @@ if cmake -B "$ASAN_BUILD" -G Ninja -DHLS_SANITIZE=address -DHLS_WERROR=ON \
       abort_provenance_test span_trace_test report_test chaos_soak \
       adaptive_test adaptive_controller_test abl_adaptive_routing \
       rfc_mode_test deadlock_policy_test metrics_test site_metrics_test \
-      >/dev/null 2>&1; then
+      residuals_test dynamic_estimator_test >/dev/null 2>&1; then
   HLS_TIME_SCALE=0.05 "./$ASAN_BUILD/bench/abl_fault_tolerance" >/dev/null
   HLS_TIME_SCALE=0.05 "./$ASAN_BUILD/bench/abl_adaptive_routing" >/dev/null
   # The same fixed-seed soak under asan: chaos episodes walk the dedup /
@@ -289,7 +307,11 @@ if cmake -B "$ASAN_BUILD" -G Ninja -DHLS_SANITIZE=address -DHLS_WERROR=ON \
   # Metrics owns the per-site vector every global total walks.
   "./$ASAN_BUILD/tests/metrics_test" >/dev/null
   "./$ASAN_BUILD/tests/site_metrics_test" >/dev/null
-  echo "asan: abl_fault_tolerance + adaptive gate + chaos soak + golden/conservation/phase/provenance/adaptive/rfc/deadlock/metrics suites clean"
+  # The one-pass abort split and the estimator's count tables, which grow
+  # on demand inside a const estimate().
+  "./$ASAN_BUILD/tests/residuals_test" >/dev/null
+  "./$ASAN_BUILD/tests/dynamic_estimator_test" >/dev/null
+  echo "asan: abl_fault_tolerance + adaptive gate + chaos soak + golden/conservation/phase/provenance/adaptive/rfc/deadlock/metrics/model suites clean"
 else
   echo "asan: unavailable in this toolchain; skipped"
 fi
@@ -304,14 +326,17 @@ if cmake -B "$UBSAN_BUILD" -G Ninja -DHLS_SANITIZE=undefined -DHLS_WERROR=ON \
       >/dev/null 2>&1 &&
     cmake --build "$UBSAN_BUILD" -j --target golden_metrics_test \
       conservation_test system_test single_txn_test analytic_model_test \
-      paper_properties_test >/dev/null 2>&1; then
+      paper_properties_test residuals_test dynamic_estimator_test \
+      >/dev/null 2>&1; then
   "./$UBSAN_BUILD/tests/golden_metrics_test" >/dev/null
   "./$UBSAN_BUILD/tests/conservation_test" >/dev/null
   "./$UBSAN_BUILD/tests/system_test" >/dev/null
   "./$UBSAN_BUILD/tests/single_txn_test" >/dev/null
   "./$UBSAN_BUILD/tests/analytic_model_test" >/dev/null
   "./$UBSAN_BUILD/tests/paper_properties_test" >/dev/null
-  echo "ubsan: golden/conservation/system/single_txn/model/properties clean"
+  "./$UBSAN_BUILD/tests/residuals_test" >/dev/null
+  "./$UBSAN_BUILD/tests/dynamic_estimator_test" >/dev/null
+  echo "ubsan: golden/conservation/system/single_txn/model/residuals/estimator/properties clean"
 else
   echo "ubsan: unavailable in this toolchain; skipped"
 fi

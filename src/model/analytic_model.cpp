@@ -168,13 +168,8 @@ ModelSolution AnalyticModel::solve(const ModelParams& p) const {
     // re-enters the queue as a fresh request, so its holder population is
     // already counted in rate_cen_req_db's (1 + err_c) factor.
     const double exec_c_first = t_exec_c + commit_c;
-
-    const Residual loc_tri_first{ResidualShape::Triangular, exec_l_first};
-    const Residual loc_tri_rerun{ResidualShape::Triangular, exec_l_rerun};
-    const Residual loc_uni_first{ResidualShape::Uniform, exec_l_first};
-    const Residual loc_uni_rerun{ResidualShape::Uniform, exec_l_rerun};
-    const Residual cen_tri{ResidualShape::Triangular, exec_c_first};
-    const Residual cen_uni{ResidualShape::Uniform, exec_c_first};
+    const AbortSplit split_first = abort_split(exec_l_first, exec_c_first, d);
+    const AbortSplit split_rerun = abort_split(exec_l_rerun, exec_c_first, d);
 
     // Case 1: a central request lands on a locally held entity. The local
     // holder's remaining time is triangular (collision probability grows
@@ -185,16 +180,16 @@ ModelSolution AnalyticModel::solve(const ModelParams& p) const {
         rate_cen_req_db * std::min(1.0, held_loc_first / part * conflict);
     const double coll_cen_on_rerun =
         rate_cen_req_db * std::min(1.0, held_loc_rerun / part * conflict);
-    const double p_first_outlives_1 = prob_first_exceeds(loc_tri_first, cen_uni, d);
-    const double p_rerun_outlives_1 = prob_first_exceeds(loc_tri_rerun, cen_uni, d);
+    const double p_first_outlives_1 = split_first.local_holder_outlives;
+    const double p_rerun_outlives_1 = split_rerun.local_holder_outlives;
 
     // Case 2: a local request lands on a centrally held entity; the local
     // requester's residual is uniform over its own run kind.
     const double cen_density = std::min(1.0, held_central_db / part * conflict);
     const double coll_first_on_cen = lam_loc * n_l * cen_density;
     const double coll_rerun_on_cen = lam_loc * err_l * n_l * cen_density;
-    const double p_first_outlives_2 = prob_first_exceeds(loc_uni_first, cen_tri, d);
-    const double p_rerun_outlives_2 = prob_first_exceeds(loc_uni_rerun, cen_tri, d);
+    const double p_first_outlives_2 = split_first.local_requester_outlives;
+    const double p_rerun_outlives_2 = split_rerun.local_requester_outlives;
 
     // Local abort rates per run kind, distributed over the runs at risk.
     const double abort_rate_l_first = coll_cen_on_first * p_first_outlives_1 +

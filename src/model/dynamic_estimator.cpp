@@ -62,6 +62,32 @@ double DynamicEstimator::rho_from_count(int count, double extra, double s,
   return (lo + hi) / 2.0;
 }
 
+double DynamicEstimator::tabulated_rho(CountTable& table, int count, int extra,
+                                       double s, double d_nc) {
+  // Entry k serves every (count, extra) pair that rho_from_count reads as
+  // n = k. Counts past the cap are not worth the memory; they bisect anew.
+  constexpr std::size_t kMaxEntries = std::size_t{1} << 16;
+  // One block covers the counts of the paper's loads. Growing from empty by
+  // doubling freed about 80 small blocks per run, which made the next run's
+  // set-up measurably slower.
+  constexpr std::size_t kFirstBlock = 256;
+  const std::size_t k =
+      static_cast<std::size_t>(std::max(0, count)) + static_cast<std::size_t>(extra);
+  if (k >= kMaxEntries) {
+    return rho_from_count(count, extra, s, d_nc);
+  }
+  if (table.s != s) {
+    table.s = s;
+    table.rho.clear();
+  }
+  table.rho.reserve(kFirstBlock);
+  while (table.rho.size() <= k) {
+    table.rho.push_back(
+        rho_from_count(static_cast<int>(table.rho.size()), 0.0, s, d_nc));
+  }
+  return table.rho[k];
+}
+
 std::pair<double, double> DynamicEstimator::utilizations(
     const SystemStateView& view) const {
   if (source_ == UtilSource::CpuQueue) {
@@ -121,17 +147,13 @@ DynamicEstimator::Rts DynamicEstimator::response_times(
 
   // Abort probabilities via the residual-time split of §3.1, driven by the
   // observed cross-tier lock densities.
-  const Residual loc_tri{ResidualShape::Triangular, t_exec_l + commit_l};
-  const Residual loc_uni{ResidualShape::Uniform, t_exec_l + commit_l};
-  const Residual cen_tri{ResidualShape::Triangular, t_exec_c + commit_c};
-  const Residual cen_uni{ResidualShape::Uniform, t_exec_c + commit_c};
-  const double p_local_last = prob_first_exceeds(loc_uni, cen_tri, d);
+  const AbortSplit split = abort_split(t_exec_l + commit_l, t_exec_c + commit_c, d);
   const double p_a_l =
-      std::min(0.9, n * p_cross * p_local_last);
+      std::min(0.9, n * p_cross * split.local_requester_outlives);
   const double p_local_density =
       std::min(1.0, view.local_locks_held / part * conflict);
   const double p_a_c = std::min(
-      0.9, n * p_local_density * (1.0 - prob_first_exceeds(loc_tri, cen_uni, d)));
+      0.9, n * p_local_density * (1.0 - split.local_holder_outlives));
 
   const double auth_phase =
       2.0 * d + speed * p.local_cpu(p.instr_auth_local) * f_l;
@@ -159,11 +181,6 @@ RouteEstimate DynamicEstimator::estimate(const SystemStateView& view) const {
   RouteEstimate est;
   const double speed = local_speed_factor(view);
 
-  // Utilizations excluding the incoming transaction (threshold heuristic).
-  const auto [rho_l0, rho_c0] = utilizations(view);
-  est.rho_local = rho_l0;
-  est.rho_central = rho_c0;
-
   // Option 1: run locally — the incoming transaction loads the local CPU.
   // Option 2: ship — it loads the central CPU.
   double rho_l_opt1;
@@ -182,10 +199,18 @@ RouteEstimate DynamicEstimator::estimate(const SystemStateView& view) const {
     rho_c_opt2 = rho_from_queue(view.central_cpu_queue, a_c);
   } else {
     const double s_site = s_local_ * speed;
-    rho_l_opt1 = rho_from_count(view.local_num_txns, 1.0, s_site, dnc_local_);
-    rho_c_opt1 = rho_from_count(view.central_num_txns, 0.0, s_central_, dnc_central_);
-    rho_l_opt2 = rho_from_count(view.local_num_txns, 0.0, s_site, dnc_local_);
-    rho_c_opt2 = rho_from_count(view.central_num_txns, 1.0, s_central_, dnc_central_);
+    HLS_ASSERT(view.site >= 0, "negative site index");
+    const auto site = static_cast<std::size_t>(view.site);
+    if (site >= local_rho_.size()) {
+      local_rho_.resize(site + 1);
+    }
+    CountTable& local = local_rho_[site];
+    rho_l_opt1 = tabulated_rho(local, view.local_num_txns, 1, s_site, dnc_local_);
+    rho_c_opt1 = tabulated_rho(central_rho_, view.central_num_txns, 0, s_central_,
+                               dnc_central_);
+    rho_l_opt2 = tabulated_rho(local, view.local_num_txns, 0, s_site, dnc_local_);
+    rho_c_opt2 = tabulated_rho(central_rho_, view.central_num_txns, 1, s_central_,
+                               dnc_central_);
   }
 
   const Rts rts1 = response_times(rho_l_opt1, rho_c_opt1, speed, view);

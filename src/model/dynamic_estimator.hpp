@@ -19,6 +19,8 @@
 // time over all currently running transactions (§3.2.2).
 #pragma once
 
+#include <vector>
+
 #include "model/params.hpp"
 #include "routing/strategy.hpp"
 
@@ -37,10 +39,6 @@ struct RouteEstimate {
   // routing option (the §3.2.2 objective).
   double r_avg_if_local = 0.0;
   double r_avg_if_ship = 0.0;
-  // Utilization estimates excluding the incoming transaction (also used by
-  // the tuned threshold heuristic §3.2.4).
-  double rho_local = 0.0;
-  double rho_central = 0.0;
 };
 
 class DynamicEstimator {
@@ -79,12 +77,28 @@ class DynamicEstimator {
   [[nodiscard]] static double rho_from_count(int count, double extra, double s,
                                              double d_nc);
 
+  /// rho_from_count(k, 0, s, d_nc) for k = 0, 1, ..., grown on demand. Once
+  /// the tier and the site speed are fixed the inversion depends only on the
+  /// count, and count + extra is the one double it reads.
+  struct CountTable {
+    double s = 0.0;  ///< CPU demand the entries were computed for
+    std::vector<double> rho;
+  };
+  /// rho_from_count(count, extra, s, d_nc), read from `table`.
+  [[nodiscard]] static double tabulated_rho(CountTable& table, int count,
+                                            int extra, double s, double d_nc);
+
   ModelParams base_;
   UtilSource source_;
   double s_local_;     ///< CPU seconds per local transaction
   double dnc_local_;   ///< non-CPU residence of a local transaction
   double s_central_;   ///< CPU seconds per central transaction
   double dnc_central_; ///< non-CPU residence of a central transaction
+  // Caches of rho_from_count, filled by estimate(): one for the central
+  // tier and one per site for the local tier, whose CPU demand scales with
+  // the site's speed.
+  mutable CountTable central_rho_;
+  mutable std::vector<CountTable> local_rho_;
 };
 
 }  // namespace hls

@@ -37,4 +37,23 @@ struct Residual {
 /// P(X > t) for a residual distribution (its survival function).
 [[nodiscard]] double residual_survival(const Residual& r, double t);
 
+/// Both outcomes the model takes from one collision between a local run of
+/// length `local_len` and a central run of length `central_len`, the
+/// central side delayed by `offset`.
+struct AbortSplit {
+  /// A local request lands on a centrally held entity:
+  /// P(LocalUniform > CentralTriangular + offset).
+  double local_requester_outlives = 0.0;
+  /// A central request lands on a locally held entity:
+  /// P(LocalTriangular > CentralUniform + offset).
+  double local_holder_outlives = 0.0;
+};
+
+/// The two prob_first_exceeds calls of one abort split in one Simpson pass
+/// over the central length. Equal bit for bit to
+///   {prob_first_exceeds({Uniform, local_len}, {Triangular, central_len}, offset),
+///    prob_first_exceeds({Triangular, local_len}, {Uniform, central_len}, offset)}.
+[[nodiscard]] AbortSplit abort_split(double local_len, double central_len,
+                                     double offset);
+
 }  // namespace hls

@@ -157,6 +157,14 @@ TEST(AnalyticModel, MixtureAverageIsConvexCombination) {
   EXPECT_LE(s.r_avg, hi + 1e-9);
 }
 
+TEST(AnalyticModel, AverageResponseKeepsItsBits) {
+  // Hexfloat pins recorded before the abort split ran in one pass per
+  // (local, central) length pair; every bit must survive it.
+  EXPECT_EQ(AnalyticModel().solve(baseline(24.0, 0.0)).r_avg, 0x1.5e631666538e7p+1);
+  EXPECT_EQ(AnalyticModel().solve(baseline(24.0, 0.35)).r_avg, 0x1.4632296f1dec6p+0);
+  EXPECT_EQ(AnalyticModel().solve(baseline(24.0, 0.7)).r_avg, 0x1.22fd187fe8234p+0);
+}
+
 TEST(ModelParams, DerivedRatesAreConsistent) {
   const ModelParams p = baseline(20.0, 0.4);
   EXPECT_NEAR(p.rate_local_a() + p.rate_shipped_a() + p.rate_class_b(),

@@ -88,6 +88,32 @@ TEST(ProbFirstExceeds, MonotoneIncreasingInALength) {
   }
 }
 
+// ---- the one-pass abort split ----
+
+TEST(AbortSplit, EqualsTheTwoProbFirstExceedsCallsExactly) {
+  // Zero lengths, a local run shorter than the offset, central runs longer
+  // than the local run minus the offset (the local survival hits zero inside
+  // the grid), and lengths across ten decades.
+  const double lengths[] = {0.0, 1e-6, 3e-5, 1e-3, 0.07, 0.2, 0.45,
+                            1.0, 2.5,  13.0, 400.0, 1e4};
+  const double offsets[] = {0.0, 1e-6, 0.2, 0.5, 3.0, 1e4};
+  for (const double local : lengths) {
+    for (const double central : lengths) {
+      for (const double offset : offsets) {
+        const AbortSplit split = abort_split(local, central, offset);
+        EXPECT_EQ(split.local_requester_outlives,
+                  prob_first_exceeds({ResidualShape::Uniform, local},
+                                     {ResidualShape::Triangular, central}, offset))
+            << "local=" << local << " central=" << central << " offset=" << offset;
+        EXPECT_EQ(split.local_holder_outlives,
+                  prob_first_exceeds({ResidualShape::Triangular, local},
+                                     {ResidualShape::Uniform, central}, offset))
+            << "local=" << local << " central=" << central << " offset=" << offset;
+      }
+    }
+  }
+}
+
 // ---- Monte-Carlo cross-validation ----
 
 double sample(const Residual& r, Rng& rng) {
