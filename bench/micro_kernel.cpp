@@ -3,8 +3,8 @@
 // These support the paper's practicality claim for dynamic strategies: the
 // routing decision must be cheap relative to transaction pathlengths. We
 // measure the event queue, the lock manager, the analytic estimator that
-// the dynamic strategies evaluate per arrival, and end-to-end simulation
-// throughput (events/second).
+// the dynamic strategies evaluate per arrival, its abort-split kernel, the
+// static optimizer, and end-to-end simulation throughput (events/second).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -13,6 +13,7 @@
 
 #include "core/api.hpp"
 #include "db/lock_manager.hpp"
+#include "model/residuals.hpp"
 #include "sim/event_queue.hpp"
 #include "util/random.hpp"
 #include "util/table.hpp"
@@ -142,6 +143,36 @@ void BM_AnalyticModelSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AnalyticModelSolve);
+
+void BM_AbortSplit(benchmark::State& state) {
+  // The Simpson pass under every estimate and every fixed-point iteration,
+  // at about the paper's lengths: a 0.9 s local run, a 0.3 s central run
+  // and the 0.2 s link delay.
+  struct {
+    double local_len = 0.9;
+    double central_len = 0.3;
+    double offset = 0.2;
+  } in;
+  // Passed as one object held in memory, so the lengths are run-time data.
+  // (For a lone double, GCC 12 skipped the store of its initial value.)
+  benchmark::DoNotOptimize(in);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(abort_split(in.local_len, in.central_len, in.offset));
+  }
+}
+BENCHMARK(BM_AbortSplit);
+
+void BM_StaticOptimize(benchmark::State& state) {
+  // The optimal static strategy's set-up at a total load of Arg tps: a
+  // 41-point grid and a golden-section refinement of AnalyticModel::solve.
+  SystemConfig cfg;
+  cfg.arrival_rate_per_site = static_cast<double>(state.range(0)) / cfg.num_sites;
+  const ModelParams params = ModelParams::from_config(cfg);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(StaticOptimizer().optimize(params));
+  }
+}
+BENCHMARK(BM_StaticOptimize)->Arg(32)->Arg(40)->Unit(benchmark::kMillisecond);
 
 void BM_EndToEndSimulation(benchmark::State& state) {
   // Whole-system throughput: simulated events per wall second at 24 tps.

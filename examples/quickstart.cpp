@@ -4,15 +4,27 @@
 //   ./quickstart [total_tps]
 //
 // Defaults to 24 transactions/second offered over 10 sites — a load where
-// the local sites are stressed and load sharing visibly matters.
+// the local sites are stressed and load sharing visibly matters. A
+// total_tps that is not a non-negative number is a one-line error naming it,
+// with exit status 1.
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "core/api.hpp"
+#include "util/table.hpp"
 
 int main(int argc, char** argv) {
-  const double total_tps = argc > 1 ? std::atof(argv[1]) : 24.0;
+  double total_tps = 24.0;
+  if (argc > 1) {
+    const std::optional<double> v = hls::parse_number(argv[1]);
+    if (!v.has_value() || !hls::kNonNegative.allows(*v)) {
+      std::fprintf(stderr, "total_tps '%s': must be a number, %s\n", argv[1],
+                   hls::kNonNegative.need().c_str());
+      return 1;
+    }
+    total_tps = *v;
+  }
 
   hls::SystemConfig cfg;  // paper baseline: 10 sites, 15-MIPS central, 0.2 s links
   cfg.arrival_rate_per_site = total_tps / cfg.num_sites;

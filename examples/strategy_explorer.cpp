@@ -29,7 +29,6 @@
 //   ./strategy_explorer --tps=30 no-load-sharing static-optimal
 //       util-threshold:-0.2 min-average-nsys
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -37,6 +36,7 @@
 
 #include "core/api.hpp"
 #include "core/config_io.hpp"
+#include "util/table.hpp"
 
 namespace {
 
@@ -68,16 +68,6 @@ const Flag* find_flag(const Flag (&flags)[N], const std::string& name) {
     }
   }
   return nullptr;
-}
-
-/// Parses all of `text` as a number; empty when it is not one.
-std::optional<double> parse_number(const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (text.empty() || end != text.c_str() + text.size()) {
-    return std::nullopt;
-  }
-  return v;
 }
 
 }  // namespace

@@ -9,27 +9,38 @@
 // provenance run report, and the sampled utilization series.
 //
 // Usage: trace_inspector [rate_per_site] [trace.csv] [trace.json]
-//   rate_per_site  arrival rate per site (default 2.2)
+//   rate_per_site  arrival rate per site (default 2.2); a value that is not
+//                  a non-negative number is a one-line error, exit status 1
 //   trace.csv      stream the full event trace here (omit or "-" to skip)
 //   trace.json     write the Perfetto span trace here (omit to skip)
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 
 #include "core/api.hpp"
 #include "obs/csv_sink.hpp"
 #include "obs/perfetto_sink.hpp"
 #include "obs/ring_sink.hpp"
 #include "obs/sample.hpp"
+#include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace hls;
   SystemConfig cfg;
   cfg.seed = 20260805;
-  cfg.arrival_rate_per_site = argc > 1 ? std::atof(argv[1]) : 2.2;
+  cfg.arrival_rate_per_site = 2.2;
+  if (argc > 1) {
+    const std::optional<double> v = parse_number(argv[1]);
+    if (!v.has_value() || !kNonNegative.allows(*v)) {
+      std::fprintf(stderr, "rate_per_site '%s': must be a number, %s\n",
+                   argv[1], kNonNegative.need().c_str());
+      return 1;
+    }
+    cfg.arrival_rate_per_site = *v;
+  }
   cfg.obs_sample_interval = 5.0;
   cfg.ship_timeout = 2.0;
   // A mid-run central outage so the trace has faults, timeouts and stalls

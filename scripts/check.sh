@@ -174,22 +174,33 @@ done
 echo "chaos repro: num_sites=0 and num_sites=2.7 rejected with exit 2"
 
 mark cli
-# strategy_explorer's own flags are user input too: text and fractions must
-# be a one-line error naming the flag and exit status 1, never an uncaught
-# exception or a run with a truncated value.
-for arg in --tps=abc --sites=2.7; do
-  status=0
-  "./$BUILD/examples/strategy_explorer" "$arg" no-load-sharing >/dev/null \
-    2>"$BUILD/explorer_bad_flag.err" || status=$?
-  if [[ $status -ne 1 || $(wc -l <"$BUILD/explorer_bad_flag.err") -ne 1 ]] ||
-      ! grep -qF -- "${arg%%=*}" "$BUILD/explorer_bad_flag.err"; then
-    echo "strategy_explorer: $arg gave exit $status, expected 1 and one line" \
-      "naming the flag:" >&2
-    cat "$BUILD/explorer_bad_flag.err" >&2
+# Numeric command-line values are user input too: text, trailing characters
+# and values out of range must be one line naming the argument and the
+# program's error status (1 from the examples, the usage status 2 from
+# hlsreport and chaos_soak), never an uncaught exception, an HLS_ASSERT
+# abort, or a run with 0 or a truncated value in their place.
+check_bad_value() {  # <status> <argument name> <program> <args...>
+  local want=$1 name=$2 prog=$3
+  shift 3
+  local status=0
+  "./$BUILD/$prog" "$@" >/dev/null 2>"$BUILD/cli_bad_value.err" || status=$?
+  if [[ $status -ne $want || $(wc -l <"$BUILD/cli_bad_value.err") -ne 1 ]] ||
+      ! grep -qF -- "$name" "$BUILD/cli_bad_value.err"; then
+    echo "$prog $*: gave exit $status, expected $want and one line naming" \
+      "$name:" >&2
+    cat "$BUILD/cli_bad_value.err" >&2
     exit 1
   fi
-done
-echo "cli: strategy_explorer --tps=abc and --sites=2.7 rejected with exit 1"
+}
+check_bad_value 1 --tps examples/strategy_explorer --tps=abc no-load-sharing
+check_bad_value 1 --sites examples/strategy_explorer --sites=2.7 no-load-sharing
+check_bad_value 1 total_tps examples/quickstart abc
+check_bad_value 1 total_tps examples/quickstart -5
+check_bad_value 2 --tol tools/hlsreport diff scripts/artifact_baseline.json \
+  scripts/artifact_baseline.json --tol abc
+check_bad_value 2 --seed tools/chaos_soak --seed=abc
+echo "cli: strategy_explorer --tps=abc/--sites=2.7, quickstart abc/-5," \
+  "hlsreport --tol abc and chaos_soak --seed=abc rejected"
 
 mark trace
 # Span-trace smoke: trace_inspector end to end on its faulted run with the
@@ -278,7 +289,8 @@ if cmake -B "$ASAN_BUILD" -G Ninja -DHLS_SANITIZE=address -DHLS_WERROR=ON \
       abort_provenance_test span_trace_test report_test chaos_soak \
       adaptive_test adaptive_controller_test abl_adaptive_routing \
       rfc_mode_test deadlock_policy_test metrics_test site_metrics_test \
-      residuals_test dynamic_estimator_test >/dev/null 2>&1; then
+      residuals_test dynamic_estimator_test analytic_model_test \
+      static_optimizer_test capacity_test >/dev/null 2>&1; then
   HLS_TIME_SCALE=0.05 "./$ASAN_BUILD/bench/abl_fault_tolerance" >/dev/null
   HLS_TIME_SCALE=0.05 "./$ASAN_BUILD/bench/abl_adaptive_routing" >/dev/null
   # The same fixed-seed soak under asan: chaos episodes walk the dedup /
@@ -308,9 +320,13 @@ if cmake -B "$ASAN_BUILD" -G Ninja -DHLS_SANITIZE=address -DHLS_WERROR=ON \
   "./$ASAN_BUILD/tests/metrics_test" >/dev/null
   "./$ASAN_BUILD/tests/site_metrics_test" >/dev/null
   # The one-pass abort split and the estimator's count tables, which grow
-  # on demand inside a const estimate().
+  # on demand inside a const estimate(); the fixed point, the static
+  # optimizer and the capacity bisection run the split's two-length form.
   "./$ASAN_BUILD/tests/residuals_test" >/dev/null
   "./$ASAN_BUILD/tests/dynamic_estimator_test" >/dev/null
+  "./$ASAN_BUILD/tests/analytic_model_test" >/dev/null
+  "./$ASAN_BUILD/tests/static_optimizer_test" >/dev/null
+  "./$ASAN_BUILD/tests/capacity_test" >/dev/null
   echo "asan: abl_fault_tolerance + adaptive gate + chaos soak + golden/conservation/phase/provenance/adaptive/rfc/deadlock/metrics/model suites clean"
 else
   echo "asan: unavailable in this toolchain; skipped"
@@ -327,7 +343,7 @@ if cmake -B "$UBSAN_BUILD" -G Ninja -DHLS_SANITIZE=undefined -DHLS_WERROR=ON \
     cmake --build "$UBSAN_BUILD" -j --target golden_metrics_test \
       conservation_test system_test single_txn_test analytic_model_test \
       paper_properties_test residuals_test dynamic_estimator_test \
-      >/dev/null 2>&1; then
+      static_optimizer_test capacity_test >/dev/null 2>&1; then
   "./$UBSAN_BUILD/tests/golden_metrics_test" >/dev/null
   "./$UBSAN_BUILD/tests/conservation_test" >/dev/null
   "./$UBSAN_BUILD/tests/system_test" >/dev/null
@@ -336,7 +352,9 @@ if cmake -B "$UBSAN_BUILD" -G Ninja -DHLS_SANITIZE=undefined -DHLS_WERROR=ON \
   "./$UBSAN_BUILD/tests/paper_properties_test" >/dev/null
   "./$UBSAN_BUILD/tests/residuals_test" >/dev/null
   "./$UBSAN_BUILD/tests/dynamic_estimator_test" >/dev/null
-  echo "ubsan: golden/conservation/system/single_txn/model/residuals/estimator/properties clean"
+  "./$UBSAN_BUILD/tests/static_optimizer_test" >/dev/null
+  "./$UBSAN_BUILD/tests/capacity_test" >/dev/null
+  echo "ubsan: golden/conservation/system/single_txn/model/residuals/estimator/optimizer/capacity/properties clean"
 else
   echo "ubsan: unavailable in this toolchain; skipped"
 fi

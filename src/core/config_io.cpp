@@ -1,8 +1,6 @@
 #include "core/config_io.hpp"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -33,26 +31,25 @@ Problem bad_number(const char* key, const std::string& text) {
 template <class T>
 Problem parse_value(const char* key, const std::string& text,
                     const KeyRange& range, T* out) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (text.empty() || end != text.c_str() + text.size()) {
+  const std::optional<double> v = parse_number(text);
+  if (!v.has_value()) {
     return bad_number(key, text);
   }
-  if (!range.allows(v)) {
+  if (!range.allows(*v)) {
     return key_error(key, range);
   }
   if constexpr (std::is_integral_v<T>) {
-    if (v != std::trunc(v)) {
+    if (*v != std::trunc(*v)) {
       return std::string(key) + " must be a whole number";
     }
     // Every integer key's range starts at 0 or above, so only the top end
     // can overflow the field.
-    if (v > static_cast<double>(std::numeric_limits<T>::max())) {
+    if (*v > static_cast<double>(std::numeric_limits<T>::max())) {
       return std::string(key) + " must be at most " +
              std::to_string(std::numeric_limits<T>::max());
     }
   }
-  *out = static_cast<T>(v);
+  *out = static_cast<T>(*v);
   return std::nullopt;
 }
 
@@ -60,14 +57,11 @@ Problem parse_value(const char* key, const std::string& text,
 /// above 2^53 (chaos repros use the whole range) must round-trip exactly.
 Problem parse_value(const char* key, const std::string& text, KeyAny,
                     std::uint64_t* out) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (text.empty() || end != text.c_str() + text.size() || errno != 0 ||
-      text[0] == '-') {
+  const std::optional<std::uint64_t> v = parse_uint64(text);
+  if (!v.has_value()) {
     return bad_number(key, text);
   }
-  *out = static_cast<std::uint64_t>(v);
+  *out = *v;
   return std::nullopt;
 }
 

@@ -168,8 +168,8 @@ ModelSolution AnalyticModel::solve(const ModelParams& p) const {
     // re-enters the queue as a fresh request, so its holder population is
     // already counted in rate_cen_req_db's (1 + err_c) factor.
     const double exec_c_first = t_exec_c + commit_c;
-    const AbortSplit split_first = abort_split(exec_l_first, exec_c_first, d);
-    const AbortSplit split_rerun = abort_split(exec_l_rerun, exec_c_first, d);
+    const auto [split_first, split_rerun] =
+        abort_splits<2>({exec_l_first, exec_l_rerun}, exec_c_first, d);
 
     // Case 1: a central request lands on a locally held entity. The local
     // holder's remaining time is triangular (collision probability grows

@@ -14,6 +14,9 @@
 // P(A > B + d) for those distribution shapes.
 #pragma once
 
+#include <array>
+#include <cstddef>
+
 namespace hls {
 
 /// Shape of a residual-time distribution on [0, length].
@@ -55,5 +58,14 @@ struct AbortSplit {
 ///    prob_first_exceeds({Triangular, local_len}, {Uniform, central_len}, offset)}.
 [[nodiscard]] AbortSplit abort_split(double local_len, double central_len,
                                      double offset);
+
+/// The abort splits of N local lengths against one central length and
+/// offset, in one Simpson pass that computes the central grid once for all
+/// of them. Element k equals abort_split(local_lens[k], central_len, offset)
+/// bit for bit. Defined for N = 1 and N = 2 (AnalyticModel::solve's
+/// first-run and rerun lengths).
+template <std::size_t N>
+[[nodiscard]] std::array<AbortSplit, N> abort_splits(
+    const std::array<double, N>& local_lens, double central_len, double offset);
 
 }  // namespace hls

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -19,6 +21,25 @@ std::string format_double(double value, int precision) {
 std::string format_shortest(double value) {
   char buf[32];
   return {buf, std::to_chars(buf, buf + sizeof buf, value).ptr};
+}
+
+std::optional<double> parse_number(const std::string& text) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() || !std::isfinite(v)) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+std::optional<std::uint64_t> parse_uint64(const std::string& text) {
+  std::uint64_t v = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, v);
+  if (ec != std::errc() || end != last) {
+    return std::nullopt;
+  }
+  return v;
 }
 
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {

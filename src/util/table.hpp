@@ -4,7 +4,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,5 +48,15 @@ std::string format_double(double value, int precision);
 /// The shortest decimal text that parses back to exactly `value`
 /// (std::to_chars), so config files and fault specs replay the same run.
 std::string format_shortest(double value);
+
+/// All of `text` read as a finite number (std::strtod's syntax); empty when
+/// `text` is empty, has characters after the number, or reads as an
+/// infinity or NaN. Command-line values go through this, so "abc" or "5x"
+/// is an error rather than 0 or 5.
+std::optional<double> parse_number(const std::string& text);
+
+/// All of `text` read as a decimal unsigned 64-bit integer, digits only;
+/// empty when it is not one or does not fit. Seeds use the whole range.
+std::optional<std::uint64_t> parse_uint64(const std::string& text);
 
 }  // namespace hls

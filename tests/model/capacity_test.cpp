@@ -31,6 +31,17 @@ TEST(Capacity, StaticSharingExtendsCapacitySubstantially) {
   EXPECT_GT(opt.p_ship_at_capacity, 0.3);
 }
 
+TEST(Capacity, StaticOptimalCapacityKeepsItsBits) {
+  // Hexfloat pins recorded before the fixed point's two abort splits shared
+  // one Simpson pass: the bisection re-optimizes p_ship at every load, so
+  // these carry every optimizer result along its path.
+  const auto r = CapacityAnalyzer().capacity_static_optimal(paper_baseline());
+  EXPECT_EQ(r.max_total_tps, 0x1.5b651401b2056p+5);
+  EXPECT_EQ(r.rt_at_capacity, 0x1.aa9749c482ba7p+0);
+  EXPECT_EQ(r.p_ship_at_capacity, 0x1.2cbbb3350ffap-1);
+  EXPECT_EQ(r.rt_unloaded, 0x1.b12be2b08bf8cp-1);
+}
+
 TEST(Capacity, LargerDelayReducesSharedCapacityGain) {
   const CapacityAnalyzer analyzer;
   const auto near_opt = analyzer.capacity_static_optimal(paper_baseline(0.2));

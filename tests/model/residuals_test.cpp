@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <ostream>
 
@@ -110,6 +111,55 @@ TEST(AbortSplit, EqualsTheTwoProbFirstExceedsCallsExactly) {
                                      {ResidualShape::Uniform, central}, offset))
             << "local=" << local << " central=" << central << " offset=" << offset;
       }
+    }
+  }
+}
+
+/// A length or offset log-uniform over ten decades, 1e-6 to 1e4: the grid
+/// above's range, between its points.
+double log_uniform(Rng& rng) { return std::pow(10.0, rng.uniform(-6.0, 4.0)); }
+
+constexpr int kRandomTriples = 20000;
+
+TEST(AbortSplit, RandomSplitsEqualTheTwoProbFirstExceedsCalls) {
+  Rng rng(20261017);
+  for (int n = 0; n < kRandomTriples; ++n) {
+    const double local = log_uniform(rng);
+    const double central = log_uniform(rng);
+    const double offset = n % 4 == 0 ? 0.0 : log_uniform(rng);
+    const AbortSplit split = abort_split(local, central, offset);
+    ASSERT_EQ(split.local_requester_outlives,
+              prob_first_exceeds({ResidualShape::Uniform, local},
+                                 {ResidualShape::Triangular, central}, offset))
+        << "local=" << local << " central=" << central << " offset=" << offset;
+    ASSERT_EQ(split.local_holder_outlives,
+              prob_first_exceeds({ResidualShape::Triangular, local},
+                                 {ResidualShape::Uniform, central}, offset))
+        << "local=" << local << " central=" << central << " offset=" << offset;
+  }
+}
+
+TEST(AbortSplits, TwoLocalLengthsEqualTwoSingleSplits) {
+  // Every 64th pair has a zero second length, which sends the pair through
+  // prob_first_exceeds's special cases.
+  Rng rng(20261018);
+  for (int n = 0; n < kRandomTriples; ++n) {
+    const double first = log_uniform(rng);
+    const double second = n % 64 == 0 ? 0.0 : log_uniform(rng);
+    const double central = log_uniform(rng);
+    const double offset = n % 4 == 0 ? 0.0 : log_uniform(rng);
+    const std::array<AbortSplit, 2> pair =
+        abort_splits<2>({first, second}, central, offset);
+    const AbortSplit singles[] = {abort_split(first, central, offset),
+                                  abort_split(second, central, offset)};
+    for (int k = 0; k < 2; ++k) {
+      ASSERT_EQ(pair[k].local_requester_outlives,
+                singles[k].local_requester_outlives)
+          << "k=" << k << " first=" << first << " second=" << second
+          << " central=" << central << " offset=" << offset;
+      ASSERT_EQ(pair[k].local_holder_outlives, singles[k].local_holder_outlives)
+          << "k=" << k << " first=" << first << " second=" << second
+          << " central=" << central << " offset=" << offset;
     }
   }
 }

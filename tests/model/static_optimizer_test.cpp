@@ -11,6 +11,29 @@ ModelParams baseline(double total_tps) {
   return p;
 }
 
+TEST(StaticOptimizer, OptimumKeepsItsBits) {
+  // Hexfloat pins recorded before the fixed point's two abort splits shared
+  // one Simpson pass; every bit must survive it. At 28 and 40 tps some grid
+  // points saturate and run the solver's full 400 iterations.
+  struct Pin {
+    double tps;
+    double p_ship;
+    double r_avg;
+    double r_avg_no_sharing;
+  };
+  const Pin pins[] = {
+      {10.0, 0x1.9388a4aec8c18p-3, 0x1.041bc66bc898ap+0, 0x1.0739edf59af71p+0},
+      {28.0, 0x1.626ec949431c5p-1, 0x1.2a7f049c98085p+0, 0x1.ebf1b16d7325bp+19},
+      {40.0, 0x1.3fe93fab0c135p-1, 0x1.6b320097c3a5fp+0, 0x1.ebf1b1b51f3ebp+19},
+  };
+  for (const Pin& pin : pins) {
+    const StaticOptimum opt = StaticOptimizer().optimize(baseline(pin.tps));
+    EXPECT_EQ(opt.p_ship, pin.p_ship) << pin.tps << " tps";
+    EXPECT_EQ(opt.solution.r_avg, pin.r_avg) << pin.tps << " tps";
+    EXPECT_EQ(opt.r_avg_no_sharing, pin.r_avg_no_sharing) << pin.tps << " tps";
+  }
+}
+
 TEST(StaticOptimizer, ShipsNothingAtVeryLowLoad) {
   const StaticOptimum opt = StaticOptimizer().optimize(baseline(2.0));
   EXPECT_LT(opt.p_ship, 0.05);

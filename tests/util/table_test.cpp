@@ -13,6 +13,26 @@ TEST(FormatDouble, FixedPrecision) {
   EXPECT_EQ(format_double(-0.5, 1), "-0.5");
 }
 
+TEST(ParseNumber, ReadsWholeFiniteNumbers) {
+  EXPECT_EQ(parse_number("24"), 24.0);
+  EXPECT_EQ(parse_number("-5"), -5.0);  // ranges are the caller's to check
+  EXPECT_EQ(parse_number("1e-9"), 1e-9);
+  EXPECT_EQ(parse_number(".5"), 0.5);
+  for (const char* bad : {"", "abc", "5x", "2.7.1", "inf", "-inf", "nan",
+                          "1e999"}) {
+    EXPECT_EQ(parse_number(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
+TEST(ParseUint64, ReadsTheWholeRangeAndNothingElse) {
+  EXPECT_EQ(parse_uint64("0"), 0u);
+  EXPECT_EQ(parse_uint64("18446744073709551615"), 18446744073709551615ULL);
+  for (const char* bad : {"", "abc", "5x", "-1", "+5", " 5", "2.0", "1e3",
+                          "18446744073709551616"}) {
+    EXPECT_EQ(parse_uint64(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
 TEST(Table, AlignedOutputContainsHeadersAndCells) {
   Table t({"name", "value"});
   t.begin_row().add_cell("alpha").add_num(1.5, 2);

@@ -10,7 +10,10 @@
 //              [--shrink-out=FILE] [--no-fork]
 //
 // Episode count precedence: --episodes flag, then the HLS_CHAOS_EPISODES
-// environment variable, then 100. Exit status 0 = every episode passed.
+// environment variable, then 100. Exit status 0 = every episode passed; a
+// bad flag value (a --seed that is not a 64-bit whole number, an
+// --episodes that is not a positive one) is one line naming the flag and
+// the usage status 2.
 //
 // --strategy=SPEC forces every generated episode onto one routing spec
 // (full factory grammar, wrappers included) instead of the generator's
@@ -21,12 +24,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/chaos.hpp"
 #include "routing/factory.hpp"
+#include "util/table.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -66,14 +72,28 @@ bool parse_args(int argc, char** argv, Options* opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--seed=", 0) == 0) {
-      opt->seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg.rfind("--episodes=", 0) == 0) {
-      opt->episodes = std::atoi(arg.c_str() + 11);
-      if (opt->episodes <= 0) {
-        std::fprintf(stderr, "chaos_soak: bad --episodes value '%s'\n",
-                     arg.c_str());
+      const std::optional<std::uint64_t> seed = hls::parse_uint64(arg.substr(7));
+      if (!seed.has_value()) {
+        std::fprintf(stderr,
+                     "chaos_soak: bad --seed value '%s': must be a whole "
+                     "number in [0, %llu]\n",
+                     arg.c_str() + 7,
+                     static_cast<unsigned long long>(
+                         std::numeric_limits<std::uint64_t>::max()));
         return false;
       }
+      opt->seed = *seed;
+    } else if (arg.rfind("--episodes=", 0) == 0) {
+      const std::optional<std::uint64_t> n = hls::parse_uint64(arg.substr(11));
+      if (!n.has_value() || *n == 0 ||
+          *n > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+        std::fprintf(stderr,
+                     "chaos_soak: bad --episodes value '%s': must be a whole "
+                     "number in [1, %d]\n",
+                     arg.c_str() + 11, std::numeric_limits<int>::max());
+        return false;
+      }
+      opt->episodes = static_cast<int>(*n);
     } else if (arg.rfind("--strategy=", 0) == 0) {
       opt->strategy = arg.substr(11);
       std::string error;

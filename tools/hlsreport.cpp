@@ -31,6 +31,8 @@
 //   --all            print every differing row, not just the top K
 //   --gate           exit 1 when any delta exceeds its tolerance, or when a
 //                    key exists on only one side
+//   R and A are non-negative numbers and K is a positive whole number; any
+//   other value is one line naming its flag, with the usage status 2.
 //
 // Exit codes: 0 ok, 1 gate violation / selfcheck failure, 2 usage or I/O
 // error. Deterministic output: rows are sorted (by relative delta, then
@@ -52,6 +54,7 @@
 #include "core/config_io.hpp"
 #include "core/driver.hpp"
 #include "routing/factory.hpp"
+#include "util/table.hpp"
 
 namespace {
 
@@ -709,6 +712,30 @@ int cmd_selfcheck() {
   return 0;
 }
 
+/// --top's value: a positive whole number.
+std::optional<std::size_t> parse_top(const std::string& text) {
+  const std::optional<std::uint64_t> v = hls::parse_uint64(text);
+  if (!v.has_value() || *v == 0) return std::nullopt;
+  return static_cast<std::size_t>(*v);
+}
+
+/// --tol's and --abs's values: a non-negative, finite number.
+std::optional<double> parse_tolerance(const std::string& text) {
+  const std::optional<double> v = hls::parse_number(text);
+  if (!v.has_value() || !hls::kNonNegative.allows(*v)) return std::nullopt;
+  return v;
+}
+
+constexpr const char* kTopNeed = "a positive whole number";
+constexpr const char* kTolNeed = "a non-negative, finite number";
+
+/// The one line for a flag value its parser rejected; the usage status.
+int bad_value(const char* flag, const std::string& text, const char* need) {
+  std::fprintf(stderr, "hlsreport: %s '%s': must be %s\n", flag, text.c_str(),
+               need);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -729,7 +756,9 @@ int main(int argc, char** argv) {
     std::size_t top = 10;
     for (std::size_t i = 1; i < args.size(); ++i) {
       if (args[i] == "--top" && i + 1 < args.size()) {
-        top = static_cast<std::size_t>(std::atoi(args[++i].c_str()));
+        const std::optional<std::size_t> v = parse_top(args[++i]);
+        if (!v.has_value()) return bad_value("--top", args[i], kTopNeed);
+        top = *v;
       } else {
         return usage();
       }
@@ -748,16 +777,22 @@ int main(int argc, char** argv) {
       if (a == "--tol" && i + 1 < args.size()) {
         const std::string v = args[++i];
         const std::size_t eq = v.find('=');
+        const std::string text = eq == std::string::npos ? v : v.substr(eq + 1);
+        const std::optional<double> rel = parse_tolerance(text);
+        if (!rel.has_value()) return bad_value("--tol", v, kTolNeed);
         if (eq == std::string::npos) {
-          tol.default_rel = std::atof(v.c_str());
+          tol.default_rel = *rel;
         } else {
-          tol.prefixes.emplace_back(v.substr(0, eq),
-                                    std::atof(v.c_str() + eq + 1));
+          tol.prefixes.emplace_back(v.substr(0, eq), *rel);
         }
       } else if (a == "--abs" && i + 1 < args.size()) {
-        tol.abs_floor = std::atof(args[++i].c_str());
+        const std::optional<double> v = parse_tolerance(args[++i]);
+        if (!v.has_value()) return bad_value("--abs", args[i], kTolNeed);
+        tol.abs_floor = *v;
       } else if (a == "--top" && i + 1 < args.size()) {
-        top = static_cast<std::size_t>(std::atoi(args[++i].c_str()));
+        const std::optional<std::size_t> v = parse_top(args[++i]);
+        if (!v.has_value()) return bad_value("--top", args[i], kTopNeed);
+        top = *v;
       } else if (a == "--all") {
         all = true;
       } else if (a == "--gate") {
