@@ -290,7 +290,8 @@ if cmake -B "$ASAN_BUILD" -G Ninja -DHLS_SANITIZE=address -DHLS_WERROR=ON \
       adaptive_test adaptive_controller_test abl_adaptive_routing \
       rfc_mode_test deadlock_policy_test metrics_test site_metrics_test \
       residuals_test dynamic_estimator_test analytic_model_test \
-      static_optimizer_test capacity_test >/dev/null 2>&1; then
+      static_optimizer_test capacity_test msg_chaos_test fault_injection_test \
+      trace_test >/dev/null 2>&1; then
   HLS_TIME_SCALE=0.05 "./$ASAN_BUILD/bench/abl_fault_tolerance" >/dev/null
   HLS_TIME_SCALE=0.05 "./$ASAN_BUILD/bench/abl_adaptive_routing" >/dev/null
   # The same fixed-seed soak under asan: chaos episodes walk the dedup /
@@ -327,7 +328,13 @@ if cmake -B "$ASAN_BUILD" -G Ninja -DHLS_SANITIZE=address -DHLS_WERROR=ON \
   "./$ASAN_BUILD/tests/analytic_model_test" >/dev/null
   "./$ASAN_BUILD/tests/static_optimizer_test" >/dev/null
   "./$ASAN_BUILD/tests/capacity_test" >/dev/null
-  echo "asan: abl_fault_tolerance + adaptive gate + chaos soak + golden/conservation/phase/provenance/adaptive/rfc/deadlock/metrics/model suites clean"
+  # Each link direction's in-order queue and the crash backlogs move
+  # messages between them: the dedup, resequencing and backlog-replay
+  # suites, and the trace sinks that stand in for the completion hook.
+  "./$ASAN_BUILD/tests/msg_chaos_test" >/dev/null
+  "./$ASAN_BUILD/tests/fault_injection_test" >/dev/null
+  "./$ASAN_BUILD/tests/trace_test" >/dev/null
+  echo "asan: abl_fault_tolerance + adaptive gate + chaos soak + golden/conservation/phase/provenance/adaptive/rfc/deadlock/metrics/model/msg-chaos/fault/trace suites clean"
 else
   echo "asan: unavailable in this toolchain; skipped"
 fi
@@ -343,7 +350,8 @@ if cmake -B "$UBSAN_BUILD" -G Ninja -DHLS_SANITIZE=undefined -DHLS_WERROR=ON \
     cmake --build "$UBSAN_BUILD" -j --target golden_metrics_test \
       conservation_test system_test single_txn_test analytic_model_test \
       paper_properties_test residuals_test dynamic_estimator_test \
-      static_optimizer_test capacity_test >/dev/null 2>&1; then
+      static_optimizer_test capacity_test msg_chaos_test \
+      fault_injection_test >/dev/null 2>&1; then
   "./$UBSAN_BUILD/tests/golden_metrics_test" >/dev/null
   "./$UBSAN_BUILD/tests/conservation_test" >/dev/null
   "./$UBSAN_BUILD/tests/system_test" >/dev/null
@@ -354,7 +362,9 @@ if cmake -B "$UBSAN_BUILD" -G Ninja -DHLS_SANITIZE=undefined -DHLS_WERROR=ON \
   "./$UBSAN_BUILD/tests/dynamic_estimator_test" >/dev/null
   "./$UBSAN_BUILD/tests/static_optimizer_test" >/dev/null
   "./$UBSAN_BUILD/tests/capacity_test" >/dev/null
-  echo "ubsan: golden/conservation/system/single_txn/model/residuals/estimator/optimizer/capacity/properties clean"
+  "./$UBSAN_BUILD/tests/msg_chaos_test" >/dev/null
+  "./$UBSAN_BUILD/tests/fault_injection_test" >/dev/null
+  echo "ubsan: golden/conservation/system/single_txn/model/residuals/estimator/optimizer/capacity/properties/msg-chaos/fault clean"
 else
   echo "ubsan: unavailable in this toolchain; skipped"
 fi

@@ -11,6 +11,7 @@
 #include "hybrid/hybrid_system.hpp"
 #include "model/params.hpp"
 #include "obs/phase.hpp"
+#include "obs/sink.hpp"
 #include "util/assert.hpp"
 
 namespace hls {
@@ -55,6 +56,23 @@ void check_zero(std::vector<std::string>& failures, const char* what,
 void mix(std::uint64_t& fp, std::uint64_t x) {
   fp ^= x + 0x9E3779B97F4A7C15ULL + (fp << 6) + (fp >> 2);
 }
+
+/// Mixes every completion's transaction, run count, completion time and
+/// response time into the episode fingerprint, in completion order.
+class FingerprintSink final : public obs::TraceSink {
+ public:
+  [[nodiscard]] unsigned kind_mask() const override {
+    return obs::kind_bit(obs::EventKind::Completion);
+  }
+  void on_event(const obs::Event& event) override {
+    mix(fp, static_cast<std::uint64_t>(event.txn));
+    mix(fp, static_cast<std::uint64_t>(event.runs));
+    mix(fp, std::bit_cast<std::uint64_t>(event.time));
+    mix(fp, std::bit_cast<std::uint64_t>(event.response_time));
+  }
+
+  std::uint64_t fp = 0x811C9DC5ULL;
+};
 
 }  // namespace
 
@@ -154,16 +172,11 @@ ChaosVerdict run_chaos_once(const ChaosEpisode& episode,
   ChaosVerdict v;
   // Same strategy seed derivation as the driver, so a repro config behaves
   // identically under run_simulation-based tooling.
+  FingerprintSink fingerprint;
   HybridSystem sys(cfg,
                    make_strategy(episode.strategy, ModelParams::from_config(cfg),
                                  cfg.seed ^ 0x51CA5EEDULL));
-  std::uint64_t fp = 0x811C9DC5ULL;
-  sys.set_completion_hook([&fp](const TxnCompletionRecord& r) {
-    mix(fp, static_cast<std::uint64_t>(r.id));
-    mix(fp, static_cast<std::uint64_t>(r.runs));
-    mix(fp, std::bit_cast<std::uint64_t>(r.completion_time));
-    mix(fp, std::bit_cast<std::uint64_t>(r.response_time));
-  });
+  sys.add_trace_sink(&fingerprint);
 
   sys.enable_arrivals();
   sys.run_for(cfg.chaos_run_seconds);
@@ -218,8 +231,8 @@ ChaosVerdict run_chaos_once(const ChaosEpisode& episode,
             m.aborts_total());
 
   // ---- duplicate-delivery accounting ----
-  // Every duplicated link delivery is rejected by the sequencer exactly
-  // once (the primary always reaches deliver_in_order first), so at drain
+  // Every duplicated link delivery is rejected by the receiver's in-order
+  // queue exactly once (the primary always arrives first), so at drain
   // the two independently maintained counters must agree. Resequencing can
   // only be caused by straggler displacement.
   const HybridSystem::LinkFaultTotals lf = sys.link_fault_totals();
@@ -238,7 +251,7 @@ ChaosVerdict run_chaos_once(const ChaosEpisode& episode,
   // if we never return.
   sys.check_invariants();
 
-  v.fingerprint = fp;
+  v.fingerprint = fingerprint.fp;
   v.completions = m.completions;
   v.dup_msgs_dropped = m.dup_msgs_dropped();
   v.msgs_resequenced = m.msgs_resequenced();

@@ -15,29 +15,12 @@ TraceWriter::TraceWriter(std::ostream& out) : out_(out) { out_ << header() << '\
 void TraceWriter::attach(HybridSystem& system) { system.add_trace_sink(this); }
 
 void TraceWriter::on_event(const obs::Event& event) {
-  TxnCompletionRecord record;
-  record.id = event.txn;
-  record.cls = event.cls;
-  record.route = event.route;
-  record.home_site = event.home_site;
-  record.arrival_time = event.arrival_time;
-  record.completion_time = event.time;
-  record.response_time = event.response_time;
-  record.runs = event.runs;
+  out_ << event.txn << ',' << (event.cls == TxnClass::A ? 'A' : 'B') << ','
+       << (event.route == Route::Local ? "local" : "central") << ','
+       << event.home_site << ',' << event.arrival_time << ',' << event.time
+       << ',' << event.response_time << ',' << event.runs;
   for (int i = 0; i < static_cast<int>(AbortCause::kCount); ++i) {
-    record.aborts[i] = event.aborts[i];
-  }
-  write(record);
-}
-
-void TraceWriter::write(const TxnCompletionRecord& record) {
-  out_ << record.id << ',' << (record.cls == TxnClass::A ? 'A' : 'B') << ','
-       << (record.route == Route::Local ? "local" : "central") << ','
-       << record.home_site << ',' << record.arrival_time << ','
-       << record.completion_time << ',' << record.response_time << ','
-       << record.runs;
-  for (int i = 0; i < static_cast<int>(AbortCause::kCount); ++i) {
-    out_ << ',' << record.aborts[i];
+    out_ << ',' << event.aborts[i];
   }
   out_ << '\n';
   ++rows_;

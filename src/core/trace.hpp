@@ -28,9 +28,6 @@ class TraceWriter : public obs::TraceSink {
   /// outlive the system's run (or be removed with remove_trace_sink).
   void attach(HybridSystem& system);
 
-  /// Writes one record (also usable without attach, e.g. for filtering).
-  void write(const TxnCompletionRecord& record);
-
   // ---- obs::TraceSink ----
   [[nodiscard]] unsigned kind_mask() const override {
     return obs::kind_bit(obs::EventKind::Completion);

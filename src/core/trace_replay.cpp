@@ -53,7 +53,7 @@ std::optional<std::vector<TraceArrival>> parse_trace(std::istream& in,
   std::vector<TraceArrival> trace;
   std::string line;
   std::size_t line_no = 0;
-  double last_time = -1.0;
+  double last_time = 0.0;
   while (std::getline(in, line)) {
     ++line_no;
     const auto first = line.find_first_not_of(" \t");
@@ -65,6 +65,10 @@ std::optional<std::vector<TraceArrival>> parse_trace(std::istream& in,
     std::string cls;
     if (!(fields >> arrival.time >> arrival.site >> cls)) {
       fail(error, "line " + std::to_string(line_no) + ": expected <time> <site> <class>");
+      return std::nullopt;
+    }
+    if (arrival.time < 0.0) {
+      fail(error, "line " + std::to_string(line_no) + ": time is negative");
       return std::nullopt;
     }
     if (arrival.time < last_time) {

@@ -10,7 +10,7 @@
 //
 //     <time> <site> <class>[ <lock_id>:<S|X>[,<lock_id>:<S|X>...]]
 //
-//   * time       — arrival time in seconds, non-decreasing
+//   * time       — arrival time in seconds, non-negative and non-decreasing
 //   * site       — home site index
 //   * class      — 'A' or 'B'
 //   * locks      — optional explicit access pattern; when omitted the
@@ -39,7 +39,8 @@ struct TraceArrival {
 };
 
 /// Parses a trace; returns std::nullopt and fills `error` (when non-null)
-/// on malformed input (bad fields, decreasing time, site out of range).
+/// on malformed input (bad fields, negative or decreasing time, site out of
+/// range).
 [[nodiscard]] std::optional<std::vector<TraceArrival>> parse_trace(
     std::istream& in, const SystemConfig& cfg, std::string* error = nullptr);
 

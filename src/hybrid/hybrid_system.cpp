@@ -388,28 +388,15 @@ void HybridSystem::set_deadlock_winner(Transaction* requester,
   }
 }
 
-void HybridSystem::send_up(int site, UniqueFunction<void()> deliver) {
-  // Transport always completes; if the central complex is down when the
-  // message arrives, it queues in the recovery backlog (preserving arrival
-  // order) instead of being processed. No message is ever truly lost.
-  // The captured sequence number makes processing exactly-once-in-order even
-  // under message-level chaos: deliver_in_order drops duplicates and buffers
-  // early arrivals before the alive check runs, so the backlog too holds
-  // messages in origination order.
-  const std::uint64_t seq = sites_[site].up_seq.next_send++;
-  sites_[site].up->send([this, site, seq, cb = std::move(deliver)]() mutable {
-    deliver_in_order(sites_[site].up_seq, site, seq,
-                     [this, cb2 = std::move(cb)]() mutable {
-                       if (!central_.alive) {
-                         central_.backlog.push_back(std::move(cb2));
-                         return;
-                       }
-                       cb2();
-                     });
-  });
+void HybridSystem::send_up(int site, UniqueFunction<void()> handler) {
+  InOrderQueue& q = sites_[site].up_queue;
+  q.sent.push_back({std::move(handler), {}});
+  const std::uint64_t seq = q.processed + q.sent.size() - 1;
+  sites_[site].up->send(
+      [this, site, seq] { receive(site, /*down=*/false, seq); });
 }
 
-void HybridSystem::send_down(int site, UniqueFunction<void()> deliver) {
+void HybridSystem::send_down(int site, UniqueFunction<void()> handler) {
   // Every central->site message piggybacks the central state as of send
   // time; this is the (delayed) information the dynamic strategies see.
   CentralSnapshot snap;
@@ -417,64 +404,61 @@ void HybridSystem::send_down(int site, UniqueFunction<void()> deliver) {
   snap.cpu_queue = static_cast<int>(central_.cpu->queue_length());
   snap.num_txns = central_.resident_txns;
   snap.locks_held = static_cast<int>(central_.locks->locks_held());
-  const std::uint64_t seq = sites_[site].down_seq.next_send++;
+  InOrderQueue& q = sites_[site].down_queue;
+  q.sent.push_back({std::move(handler), snap});
+  const std::uint64_t seq = q.processed + q.sent.size() - 1;
   sites_[site].down->send(
-      [this, site, seq, snap, cb = std::move(deliver)]() mutable {
-        deliver_in_order(
-            sites_[site].down_seq, site, seq,
-            [this, site, snap, cb2 = std::move(cb)]() mutable {
-              if (!sites_[site].alive) {
-                // Delivered into a crashed site: defer processing (and the
-                // snapshot update) until recovery, in arrival order.
-                sites_[site].backlog.push_back(
-                    [this, site, snap, cb3 = std::move(cb2)]() mutable {
-                      sites_[site].central_view = snap;
-                      cb3();
-                    });
-                return;
-              }
-              sites_[site].central_view = snap;
-              cb2();
-            });
-      });
+      [this, site, seq] { receive(site, /*down=*/true, seq); });
 }
 
-void HybridSystem::deliver_in_order(MsgSequencer& q, int site,
-                                    std::uint64_t seq,
-                                    UniqueFunction<void()> process) {
-  if (seq < q.next_deliver) {
-    // Already processed: a duplicate delivery. The handler never runs, so
-    // every protocol step behind a sequence number is exactly-once.
+void HybridSystem::receive(int site, bool down, std::uint64_t seq) {
+  InOrderQueue& q = down ? sites_[site].down_queue : sites_[site].up_queue;
+  if (seq < q.processed || q.sent[seq - q.processed].arrived) {
+    // Already processed, or already waiting behind a gap: a duplicate
+    // delivery. The handler runs once, so every protocol step behind a
+    // sequence number is exactly-once.
     ++metrics_.sites[site].dup_msgs_dropped;
     return;
   }
-  if (seq > q.next_deliver) {
-    // Ahead of a gap: some straggler with a lower sequence number is still
-    // in flight. First arrivals are buffered in sequence order until the
-    // gap fills; duplicates of an already-buffered message are dropped.
-    auto it = std::lower_bound(
-        q.held.begin(), q.held.end(), seq,
-        [](const auto& entry, std::uint64_t s) { return entry.first < s; });
-    if (it != q.held.end() && it->first == seq) {
-      ++metrics_.sites[site].dup_msgs_dropped;
-      return;
-    }
+  q.sent[seq - q.processed].arrived = true;
+  if (seq > q.processed) {
+    // Ahead of a gap: a straggler with a lower sequence number is still in
+    // flight. This message waits in its slot until the gap fills.
     ++metrics_.sites[site].msgs_resequenced;
-    q.held.emplace(it, seq, std::move(process));
     return;
   }
-  ++q.next_deliver;
-  process();
-  // The gap just filled: release buffered successors in sequence order. A
-  // released handler may send new messages but never synchronously delivers
-  // on this same link (deliveries only come from scheduled link events), so
-  // the loop cannot re-enter.
-  while (!q.held.empty() && q.held.front().first == q.next_deliver) {
-    UniqueFunction<void()> next = std::move(q.held.front().second);
-    q.held.erase(q.held.begin());
-    ++q.next_deliver;
-    next();
+  // Process the arrived prefix in sequence order. A handler may send new
+  // messages (queued behind, not yet arrived) but never delivers on a link
+  // synchronously (deliveries only come from scheduled link events), so the
+  // loop cannot re-enter.
+  while (!q.sent.empty() && q.sent.front().arrived) {
+    QueuedMsg msg = std::move(q.sent.front());
+    q.sent.pop_front();
+    ++q.processed;
+    process(down ? site : -1, std::move(msg));
   }
+}
+
+void HybridSystem::process(int receiver, QueuedMsg msg) {
+  // Transport always completes; if the receiving node is down, the message
+  // queues in its recovery backlog (preserving arrival order, which the
+  // queue made origination order) instead of being processed. No message
+  // is ever truly lost.
+  if (receiver < 0) {
+    if (!central_.alive) {
+      central_.backlog.push_back(std::move(msg));
+      return;
+    }
+  } else {
+    SiteState& s = sites_[receiver];
+    if (!s.alive) {
+      // The snapshot update waits for recovery too.
+      s.backlog.push_back(std::move(msg));
+      return;
+    }
+    s.central_view = msg.snap;
+  }
+  msg.handler();
 }
 
 void HybridSystem::complete(Transaction* txn, SimTime completion_time) {
@@ -536,27 +520,6 @@ void HybridSystem::complete(Transaction* txn, SimTime completion_time) {
   }
   metrics_.wasted_per_txn.add(txn->wasted_total());
 
-  if (completion_hook_) {
-    TxnCompletionRecord record;
-    record.id = txn->id;
-    record.cls = txn->cls;
-    record.route = txn->route;
-    record.home_site = txn->home_site;
-    record.arrival_time = txn->arrival_time;
-    record.completion_time = completion_time;
-    record.response_time = rt;
-    record.runs = txn->run_count + 1;
-    for (int i = 0; i < static_cast<int>(AbortCause::kCount); ++i) {
-      record.aborts[i] = txn->aborts[i];
-    }
-    for (int p = 0; p < obs::kPhaseCount; ++p) {
-      record.phase[p] = txn->phases.acc[p];
-    }
-    record.wasted_cpu = txn->wasted_cpu();
-    record.wasted_io = txn->wasted_io();
-    record.wasted_total = txn->wasted_total();
-    completion_hook_(record);
-  }
   if (obs_wants(obs::EventKind::Completion)) {
     obs::Event event;
     event.kind = obs::EventKind::Completion;
@@ -1011,17 +974,20 @@ void HybridSystem::send_async_update(int site, std::vector<UpdateItem> items) {
       cfg_.instr_apply_update +
       cfg_.instr_apply_update_item * static_cast<double>(items.size()));
   const double sent_at = sim_.now();
-  send_up(site, [this, site, apply_cpu, sent_at, items = std::move(items)] {
+  send_up(site, [this, site, apply_cpu, sent_at,
+                 items = std::move(items)]() mutable {
     // Delivered at the central site: queue the apply work on the central CPU.
     edge_note(obs::EdgeKind::AsyncUpdate, kInvalidTxn, sent_at, site,
               sim_.now(), obs::kCentralTrack);
     central_.cpu->submit(apply_cpu,
-                         [this, site, items] { central_apply_update(site, items); });
+                         [this, site, items = std::move(items)]() mutable {
+                           central_apply_update(site, std::move(items));
+                         });
   });
 }
 
 void HybridSystem::central_apply_update(int site,
-                                        const std::vector<UpdateItem>& items) {
+                                        std::vector<UpdateItem> items) {
   // Invalidate central locks on the updated entities: holders are marked for
   // abort and lose the lock, so later central transactions see fresh data.
   // The committer that shipped the update is recorded as the winner of the
@@ -1038,9 +1004,10 @@ void HybridSystem::central_apply_update(int site,
   }
   // Acknowledge back to the master site; the ack processing decrements the
   // coherence counts that were raised at local commit.
-  send_down(site, [this, site, items] {
+  send_down(site, [this, site, items = std::move(items)]() mutable {
     sites_[site].cpu->submit(
-        cfg_.site_cpu_seconds(site, cfg_.instr_recv_ack), [this, site, items] {
+        cfg_.site_cpu_seconds(site, cfg_.instr_recv_ack),
+        [this, site, items = std::move(items)] {
           for (const UpdateItem& item : items) {
             sites_[site].locks->decrement_coherence(item.id);
           }
@@ -1099,8 +1066,8 @@ void HybridSystem::central_begin_auth(Transaction* txn) {
       }
     }
     send_down(site, [this, site, id = txn->id, epoch = txn->epoch,
-                     needs = std::move(needs)] {
-      local_process_auth(site, id, epoch, needs);
+                     needs = std::move(needs)]() mutable {
+      local_process_auth(site, id, epoch, std::move(needs));
     });
   }
 }
@@ -1483,7 +1450,7 @@ void HybridSystem::central_recover() {
   // Replay the message backlog in arrival order before restarting any
   // aborted resident: coherence updates and fresh shipped arrivals observe
   // the same FIFO order they would have without the outage.
-  replay_backlog(central_.backlog);
+  replay_backlog(-1);
 
   std::vector<std::pair<TxnId, std::uint64_t>> queue;
   queue.swap(central_.recovery_queue);
@@ -1546,7 +1513,7 @@ void HybridSystem::site_recover(int site) {
   ++metrics_.site_recoveries;
   note_fault(site, /*up=*/true);
 
-  replay_backlog(s.backlog);
+  replay_backlog(site);
 
   std::vector<std::pair<TxnId, std::uint64_t>> queue;
   queue.swap(s.recovery_queue);
@@ -1569,12 +1536,12 @@ void HybridSystem::note_fault(int site, bool up) {
   }
 }
 
-void HybridSystem::replay_backlog(std::vector<UniqueFunction<void()>>& backlog) {
-  std::vector<UniqueFunction<void()>> pending;
-  pending.swap(backlog);
+void HybridSystem::replay_backlog(int receiver) {
+  std::vector<QueuedMsg> pending;
+  pending.swap(receiver < 0 ? central_.backlog : sites_[receiver].backlog);
   metrics_.backlog_replayed += pending.size();
-  for (UniqueFunction<void()>& cb : pending) {
-    cb();
+  for (QueuedMsg& msg : pending) {
+    process(receiver, std::move(msg));
   }
 }
 
@@ -1752,19 +1719,15 @@ void HybridSystem::check_invariants() const {
       HLS_ASSERT(site.backlog.empty() && site.recovery_queue.empty(),
                  "live site has unreplayed backlog or recovery queue");
     }
-    // Sequencer sanity: a resequencing buffer can only hold messages while
-    // the gap message is still on the wire, so an idle link direction must
-    // have an empty buffer and a fully caught-up cursor.
-    HLS_ASSERT(site.up_seq.next_deliver <= site.up_seq.next_send &&
-                   site.down_seq.next_deliver <= site.down_seq.next_send,
-               "message sequencer delivered more than was sent");
+    // A queued message waits only while it, or a message ahead of it, is
+    // still on the wire, so an idle link direction has an empty queue.
     if (site.up->messages_in_flight() == 0) {
-      HLS_ASSERT(site.up_seq.held.empty(),
-                 "idle up link left messages in the resequencing buffer");
+      HLS_ASSERT(site.up_queue.sent.empty(),
+                 "idle up link left messages in its in-order queue");
     }
     if (site.down->messages_in_flight() == 0) {
-      HLS_ASSERT(site.down_seq.held.empty(),
-                 "idle down link left messages in the resequencing buffer");
+      HLS_ASSERT(site.down_queue.sent.empty(),
+                 "idle down link left messages in its in-order queue");
     }
   }
   if (central_.alive) {

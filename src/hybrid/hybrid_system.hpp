@@ -40,17 +40,21 @@
 // the locks (deadlock) or keep them (commit-time aborts), book the abort,
 // and restart on the same role after the restart delay.
 //
-// Asynchronous updates delivered in order (net::Link) invalidate central
-// locks on the updated entities: central holders are marked for abort and
-// lose those locks; an acknowledgement flows back and decrements the
-// coherence counts. Deadlocks (waits-for cycle within one site) abort the
-// victim chosen by cfg_.deadlock_victim, which releases everything and
-// reruns.
+// Every protocol message is one handler closure in its link direction's
+// in-order queue (InOrderQueue), processed exactly once and in send order
+// even under message-level chaos, or parked in a crashed receiver's
+// backlog until recovery. Asynchronous updates delivered that way
+// invalidate central locks on the updated entities: central holders are
+// marked for abort and lose those locks; an acknowledgement flows back and
+// decrements the coherence counts. Deadlocks (waits-for cycle within one
+// site) abort the victim chosen by cfg_.deadlock_victim, which releases
+// everything and reruns.
 //
 // Reruns model re-referenced data as memory-resident: all CPU is re-spent,
 // all I/O is skipped, and surviving locks are kept (per §3.1).
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -178,13 +182,6 @@ class HybridSystem {
   /// shipping, fault and abort breakdown.
   [[nodiscard]] const SiteMetrics& site_metrics(int site) const;
 
-  /// Registers a hook invoked on every transaction completion (tracing,
-  /// custom analyses). Pass nullptr to clear.
-  using CompletionHook = std::function<void(const TxnCompletionRecord&)>;
-  void set_completion_hook(CompletionHook hook) {
-    completion_hook_ = std::move(hook);
-  }
-
   // ---- observability (obs/) ----
 
   /// Registers a structured trace sink; events whose kind is in the sink's
@@ -237,19 +234,25 @@ class HybridSystem {
     int locks_held = 0;
   };
 
-  /// Per-link-direction sequence numbering (docs/PROTOCOL.md "Message
-  /// sequence numbers and handler idempotence"). Every protocol message
-  /// carries the sender's next sequence number; the receiver processes
-  /// messages strictly in sequence, dropping duplicates and buffering
-  /// early arrivals until the gap fills. With a FIFO link this is pure
-  /// bookkeeping (two counter increments per message, no buffering), so
-  /// fault-free runs stay byte-identical; under message-level chaos it is
-  /// what makes the handlers idempotent.
-  struct MsgSequencer {
-    std::uint64_t next_send = 0;
-    std::uint64_t next_deliver = 0;
-    /// Early arrivals (seq > next_deliver), sorted by sequence number.
-    std::vector<std::pair<std::uint64_t, UniqueFunction<void()>>> held;
+  /// A protocol message sent and not yet processed: the receiver's
+  /// handler, plus (central -> site messages) the central state as of send
+  /// time. Crash backlogs hold the same value.
+  struct QueuedMsg {
+    UniqueFunction<void()> handler;
+    CentralSnapshot snap;
+    bool arrived = false;  ///< delivered ahead of a gap; waits its turn
+  };
+
+  /// One link direction's sent, not-yet-processed messages in send order
+  /// (docs/PROTOCOL.md "Message sequence numbers and handler idempotence").
+  /// A message's sequence number is `processed` plus its position, so the
+  /// queue is both the numbering and the resequencing buffer. With a FIFO
+  /// link each message costs one push and one pop, so fault-free runs stay
+  /// byte-identical; under message-level chaos the queue is what makes the
+  /// handlers run exactly once and in order.
+  struct InOrderQueue {
+    std::deque<QueuedMsg> sent;
+    std::uint64_t processed = 0;  ///< sequence number of sent.front()
   };
 
   struct SiteState {
@@ -264,15 +267,15 @@ class HybridSystem {
     double last_local_rt = 0.0;
     double last_shipped_rt = 0.0;
     CentralSnapshot central_view;  ///< last central state learned from messages
-    MsgSequencer up_seq;    ///< sequences site -> central messages
-    MsgSequencer down_seq;  ///< sequences central -> site messages
+    InOrderQueue up_queue;    ///< site -> central messages
+    InOrderQueue down_queue;  ///< central -> site messages
     // Asynchronous-update batching (config::async_batch_window > 0).
     std::vector<UpdateItem> pending_updates;
     bool flush_armed = false;
     // Fault state: while the site's DB is down, inbound deliveries queue in
     // `backlog` and crashed local transactions wait in `recovery_queue`.
     bool alive = true;
-    std::vector<UniqueFunction<void()>> backlog;
+    std::vector<QueuedMsg> backlog;
     std::vector<std::pair<TxnId, std::uint64_t>> recovery_queue;
     // Per-resource telemetry (maintained only when obs_resource_telemetry).
     int io_in_flight = 0;
@@ -287,7 +290,7 @@ class HybridSystem {
     // FIFO requirement across an outage — it replays in arrival order at
     // recovery, before any aborted resident restarts.
     bool alive = true;
-    std::vector<UniqueFunction<void()>> backlog;
+    std::vector<QueuedMsg> backlog;
     std::vector<std::pair<TxnId, std::uint64_t>> recovery_queue;
     // Per-resource telemetry (maintained only when obs_resource_telemetry).
     int io_in_flight = 0;
@@ -306,14 +309,18 @@ class HybridSystem {
   /// Plain delay; the elapsed time is settled to `phase` (Io or Stall).
   void wait(double seconds, Transaction* txn, obs::Phase phase, int track,
             Step next);
-  void send_up(int site, UniqueFunction<void()> deliver);
-  void send_down(int site, UniqueFunction<void()> deliver);
-  /// Receiver half of the sequence-number protocol: runs `process` when
-  /// `seq` is next in `q`'s order, drops it as a duplicate when already
-  /// processed/buffered, or buffers it ahead of a gap. `site` attributes
-  /// the dedup/resequence counters.
-  void deliver_in_order(MsgSequencer& q, int site, std::uint64_t seq,
-                        UniqueFunction<void()> process);
+  /// Queue `handler` on `site`'s up (down) link direction and send its
+  /// sequence number; a down message also carries the central snapshot.
+  void send_up(int site, UniqueFunction<void()> handler);
+  void send_down(int site, UniqueFunction<void()> handler);
+  /// Link delivery of message `seq` on `site`'s up or down direction: drops
+  /// a duplicate, marks an early arrival, then processes the arrived prefix
+  /// of the queue in order. `site` attributes the dedup/resequence counters.
+  void receive(int site, bool down, std::uint64_t seq);
+  /// Runs `msg` at its receiver (a site for a down message, -1 = the
+  /// central complex for an up one), or parks it in the receiver's backlog
+  /// while that node is down. Live delivery and backlog replay share it.
+  void process(int receiver, QueuedMsg msg);
   void complete(Transaction* txn, SimTime completion_time);
   /// Books an abort: provenance (cause, winner from txn->marked_by, wasted
   /// attempt time) into metrics and the abort event, then resets the
@@ -453,8 +460,9 @@ class HybridSystem {
   /// Emits the Fault trace event for a crash (`up` false) or recovery of
   /// `site` (-1 = the central complex).
   void note_fault(int site, bool up);
-  /// Replays a recovered node's message backlog in arrival order.
-  void replay_backlog(std::vector<UniqueFunction<void()>>& backlog);
+  /// Replays a recovered node's message backlog in arrival order
+  /// (`receiver` as in process).
+  void replay_backlog(int receiver);
   /// Failure-detector cleanup: expires this transaction's authentication
   /// grabs at every master site it could have contacted (acked or not).
   void release_auth_holds_everywhere(Transaction* txn);
@@ -485,7 +493,7 @@ class HybridSystem {
   /// site's batch and arms the flush timer when batching is configured.
   void queue_async_update(int site, std::vector<UpdateItem> items);
   void send_async_update(int site, std::vector<UpdateItem> items);
-  void central_apply_update(int site, const std::vector<UpdateItem>& items);
+  void central_apply_update(int site, std::vector<UpdateItem> items);
 
   // ---- struct-of-arrays staging for per-phase completion statistics ----
   /// The per-phase SampleStat/Histogram adds are the hottest accumulator
@@ -517,7 +525,6 @@ class HybridSystem {
   CentralState central_;
   Metrics metrics_;
   mutable PhaseBatch phase_batch_;
-  CompletionHook completion_hook_;
   std::vector<obs::TraceSink*> sinks_;
   unsigned sink_mask_ = 0;  ///< union of registered sinks' kind masks
   std::vector<obs::SampleRow> series_;

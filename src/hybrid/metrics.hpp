@@ -25,28 +25,6 @@ using PhaseStats = std::array<SampleStat, obs::kPhaseCount>;
   return std::vector<Histogram>(obs::kPhaseCount, Histogram{0.1, 400});
 }
 
-/// Immutable record emitted for every transaction completion; the raw
-/// material for traces and custom analyses (see core/trace.hpp).
-struct TxnCompletionRecord {
-  TxnId id = kInvalidTxn;
-  TxnClass cls = TxnClass::A;
-  Route route = Route::Local;
-  int home_site = 0;
-  double arrival_time = 0.0;
-  double completion_time = 0.0;
-  double response_time = 0.0;
-  int runs = 1;  ///< total executions (1 = committed first try)
-  int aborts[static_cast<int>(AbortCause::kCount)] = {};
-  /// Where the response time went (seconds per obs::Phase; sums to
-  /// response_time — the phase-sum identity, checked at completion).
-  double phase[obs::kPhaseCount] = {};
-  /// Time burned by this transaction's aborted attempts (subset of the
-  /// phase[] totals above; zero when runs == 1).
-  double wasted_cpu = 0.0;
-  double wasted_io = 0.0;
-  double wasted_total = 0.0;
-};
-
 /// Per-site breakdown: one entry per site in Metrics::sites. Its integer
 /// counters are the only store of each count; Metrics' accessors of the
 /// same names sum them over the sites. The SampleStats stay next to

@@ -61,6 +61,23 @@ TEST(TraceParse, RejectsBadInput) {
   EXPECT_FALSE(parse_trace("1.0 0 A 99999999:X\n", cfg, &error).has_value());
 }
 
+TEST(TraceParse, RejectsNegativeTime) {
+  const SystemConfig cfg = quiet_config();
+  std::string error;
+  EXPECT_FALSE(parse_trace("-0.5 0 A\n", cfg, &error).has_value());
+  EXPECT_EQ(error, "line 1: time is negative");
+  EXPECT_FALSE(parse_trace("# header\n-1e-9 0 B\n2.0 1 A\n", cfg, &error)
+                   .has_value());
+  EXPECT_EQ(error, "line 2: time is negative");
+  // Time zero is the earliest arrival a trace may schedule.
+  const auto trace = parse_trace("0 0 A\n", cfg);
+  ASSERT_TRUE(trace.has_value());
+  HybridSystem sys(cfg, std::make_unique<AlwaysLocalStrategy>());
+  EXPECT_EQ(replay_trace(sys, *trace), 1u);
+  sys.simulator().run();
+  EXPECT_EQ(sys.metrics().completions, 1u);
+}
+
 TEST(TraceReplay, InjectsAtScheduledTimes) {
   const SystemConfig cfg = quiet_config();
   HybridSystem sys(cfg, std::make_unique<AlwaysLocalStrategy>());

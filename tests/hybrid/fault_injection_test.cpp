@@ -44,6 +44,11 @@ constexpr double kLocalXCost = 0.075 + 0.035 + (0.030 + 0.025) + 0.080;
 constexpr double kCentralRunCost =
     0.005 + 0.035 + (0.002 + 0.025) + 0.005 + (0.2 + 0.010 + 0.2) + 0.2;
 
+// Central apply burst for a one-item async update: (10K + 2K) / 15 MIPS.
+constexpr double kApplyCpu = (10e3 + 2e3) / 15e6;
+// Home-site ack-processing burst: 2K / 1 MIPS.
+constexpr double kRecvAckCpu = 2e3 / 1e6;
+
 TEST(FaultInjection, ShipTimeoutLadderFallsBackToLocalExactTiming) {
   SystemConfig cfg = quiet_config();
   cfg.ship_timeout = 1.0;
@@ -212,6 +217,75 @@ TEST(FaultInjection, AsyncUpdateBacklogsThroughOutageAndCoherenceDrains) {
   EXPECT_TRUE(sys.central_up());
   EXPECT_EQ(sys.metrics().backlog_replayed, 1u);
   EXPECT_EQ(sys.local_locks(0).coherence_count(7), 0u);
+  EXPECT_EQ(sys.live_transactions(), 0);
+  sys.check_invariants();
+}
+
+TEST(FaultInjection, AckParkedAtCrashedSiteKeepsItsSendTimeSnapshot) {
+  SystemConfig cfg = quiet_config();
+  // Site 0 is down from 0.3 to 1.0: after its local commit (0.245), before
+  // the acknowledgement of the update arrives (0.6458).
+  cfg.faults.windows.push_back({FaultKind::SiteOutage, 0, 0.3, 0.7, 1.0, 0.0});
+  HybridSystem sys(cfg, std::make_unique<AlwaysLocalStrategy>());
+  sys.inject_transaction(
+      custom_txn(1, TxnClass::A, 0, {{7, LockMode::Exclusive}}));
+
+  // The update reaches central at 0.445; the ack leaves when its apply burst
+  // ends and parks in the crashed site's backlog. The site still knows only
+  // the initial snapshot, taken at t = 0.
+  const double ack_sent = 0.245 + 0.2 + kApplyCpu;
+  sys.simulator().run_until(0.9);
+  EXPECT_NEAR(sys.make_state_view(0).central_info_age, 0.9, 1e-12);
+  EXPECT_EQ(sys.local_locks(0).coherence_count(7), 1u);
+
+  // Recovery replays the ack with the snapshot taken when it was sent, not
+  // one taken at delivery or at recovery.
+  sys.simulator().run_until(1.5);
+  EXPECT_TRUE(sys.site_up(0));
+  EXPECT_EQ(sys.metrics().backlog_replayed, 1u);
+  EXPECT_NEAR(sys.make_state_view(0).central_info_age, 1.5 - ack_sent, 1e-9);
+  EXPECT_NEAR(ack_sent, 0.4458, 1e-12);
+  EXPECT_EQ(sys.local_locks(0).coherence_count(7), 0u);
+  sys.simulator().run();
+  EXPECT_EQ(sys.live_transactions(), 0);
+  sys.check_invariants();
+}
+
+TEST(FaultInjection, CentralBacklogReplaysUpdatesInArrivalOrder) {
+  SystemConfig cfg = quiet_config();
+  cfg.faults.windows.push_back(
+      {FaultKind::CentralOutage, -1, 0.0, 1.0, 1.0, 0.0});
+  HybridSystem sys(cfg, std::make_unique<AlwaysLocalStrategy>());
+  // Site 1 commits first (0.245), site 0 second (0.345): their updates park
+  // in the central backlog in that arrival order (0.445, 0.545).
+  sys.inject_transaction(
+      custom_txn(1, TxnClass::A, 1, {{11, LockMode::Exclusive}}));
+  sys.simulator().schedule_at(0.1, [&sys] {
+    sys.inject_transaction(
+        custom_txn(2, TxnClass::A, 0, {{7, LockMode::Exclusive}}));
+  });
+  sys.simulator().run_until(0.9);
+  ASSERT_EQ(sys.local_locks(1).coherence_count(11), 1u);
+  ASSERT_EQ(sys.local_locks(0).coherence_count(7), 1u);
+
+  // Record when each site's coherence count drains.
+  double drained[2] = {-1.0, -1.0};
+  while (sys.simulator().step()) {
+    const double now = sys.simulator().now();
+    if (drained[1] < 0.0 && sys.local_locks(1).coherence_count(11) == 0) {
+      drained[1] = now;
+    }
+    if (drained[0] < 0.0 && sys.local_locks(0).coherence_count(7) == 0) {
+      drained[0] = now;
+    }
+  }
+
+  // Recovery at t = 1 replays site 1's update first: its apply burst runs
+  // first on the FCFS central CPU, and site 0's queues behind it. Each ack
+  // then takes one link delay and one ack-processing burst at its site.
+  EXPECT_EQ(sys.metrics().backlog_replayed, 2u);
+  EXPECT_NEAR(drained[1], 1.0 + kApplyCpu + 0.2 + kRecvAckCpu, 1e-9);
+  EXPECT_NEAR(drained[0], 1.0 + 2 * kApplyCpu + 0.2 + kRecvAckCpu, 1e-9);
   EXPECT_EQ(sys.live_transactions(), 0);
   sys.check_invariants();
 }

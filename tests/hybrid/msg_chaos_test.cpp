@@ -2,7 +2,7 @@
 // deduplicated without perturbing protocol timing, straggled (reordered)
 // messages shift the asynchronous update pipeline by exactly the drawn slip,
 // and an overtaken update is buffered by the sequencer and applied in send
-// order.
+// order, even when a copy of it arrives while it waits.
 //
 // The exact-timing tests follow the single_txn_test recipe: one or two
 // transactions in an otherwise idle system, every event time derived from
@@ -198,6 +198,62 @@ TEST(MsgChaos, OvertakenUpdateIsResequencedExactTiming) {
   EXPECT_EQ(sys.metrics().msgs_resequenced(), 1u);
   EXPECT_EQ(sys.site_metrics(0).msgs_resequenced, 1u);
   EXPECT_EQ(sys.metrics().dup_msgs_dropped(), 0u);
+  EXPECT_EQ(sys.live_transactions(), 0);
+  sys.check_invariants();
+}
+
+TEST(MsgChaos, DuplicateOfResequencedUpdateIsDroppedExactTiming) {
+  SystemConfig cfg = quiet_config();
+  cfg.seed = 2;
+  cfg.faults.reorder_window = 0.4;
+  cfg.faults.dup_extra = 0.02;
+  // The first window straggles update 1 (dispatched at 0.245) as in
+  // OvertakenUpdateIsResequencedExactTiming; the second covers only update
+  // 2's dispatch (0.495) and duplicates it.
+  cfg.faults.windows.push_back(
+      {FaultKind::MsgFault, 0, 0.2, 0.1, 1.0, 0.0, 0.0, 0.9, 0.0, 1.0});
+  cfg.faults.windows.push_back(
+      {FaultKind::MsgFault, 0, 0.45, 0.1, 1.0, 0.0, 0.9, 0.0, 0.0, 1.0});
+  HybridSystem sys(cfg, std::make_unique<AlwaysLocalStrategy>());
+
+  // Replica of the three chaos draws on the up link: update 1 straggles
+  // past update 2's arrival (0.695), and update 2 is duplicated. Its copy
+  // lands at 0.715, while the primary still waits behind update 1.
+  LinkStreams streams = replica_link_streams(cfg);
+  ASSERT_TRUE(streams.up0.bernoulli(0.9));
+  const double slip = streams.up0.uniform(0.0, cfg.faults.reorder_window);
+  ASSERT_TRUE(streams.up0.bernoulli(0.9));
+  ASSERT_GT(0.445 + slip, 0.695 + cfg.faults.dup_extra);
+
+  sys.inject_transaction(
+      custom_txn(1, TxnClass::A, 0, {{7, LockMode::Exclusive}}));
+  sys.simulator().schedule_at(0.25, [&sys] {
+    sys.inject_transaction(
+        custom_txn(2, TxnClass::A, 0, {{9, LockMode::Exclusive}}));
+  });
+
+  // Just after the copy of update 2 arrived: the primary is buffered
+  // (resequenced) and the copy was dropped; nothing has been applied yet.
+  sys.simulator().run_until(0.695 + cfg.faults.dup_extra + 1e-6);
+  EXPECT_EQ(sys.metrics().msgs_resequenced(), 1u);
+  EXPECT_EQ(sys.metrics().dup_msgs_dropped(), 1u);
+  EXPECT_EQ(sys.central_cpu().busy_seconds(), 0.0);
+
+  // Update 1 fills the gap and both updates run once, in send order: the
+  // same critical path as the test above.
+  sys.simulator().run();
+  const double t_arrive = 0.245 + 0.2 + slip;
+  const double expected_end = t_arrive + kApplyCpu + 0.2 + 2 * kRecvAckCpu;
+  EXPECT_NEAR(sys.simulator().now(), expected_end, 1e-9);
+  EXPECT_NEAR(sys.central_cpu().busy_seconds(), 2 * kApplyCpu, 1e-12);
+  EXPECT_EQ(sys.local_locks(0).coherence_count(7), 0u);
+  EXPECT_EQ(sys.local_locks(0).coherence_count(9), 0u);
+
+  const HybridSystem::LinkFaultTotals faults = sys.link_fault_totals();
+  EXPECT_EQ(faults.reordered, 1u);
+  EXPECT_EQ(faults.duplicated, 1u);
+  EXPECT_EQ(sys.site_metrics(0).msgs_resequenced, 1u);
+  EXPECT_EQ(sys.site_metrics(0).dup_msgs_dropped, 1u);
   EXPECT_EQ(sys.live_transactions(), 0);
   sys.check_invariants();
 }
