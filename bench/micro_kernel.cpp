@@ -10,6 +10,8 @@
 #include <chrono>
 #include <cstring>
 #include <iostream>
+#include <memory>
+#include <vector>
 
 #include "core/api.hpp"
 #include "db/lock_manager.hpp"
@@ -132,6 +134,44 @@ void BM_DynamicEstimatorDecision(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DynamicEstimatorDecision);
+
+void BM_AnalyticDecide(benchmark::State& state) {
+  // One routing decision of curve C, D, E or F (Arg 0-3), the split's range
+  // first and the exact estimate when the range leaves the route open, over
+  // a seeded mix of views around the paper's 32 tps operating point.
+  SystemConfig cfg;
+  const ModelParams params = ModelParams::from_config(cfg);
+  const UtilSource source =
+      state.range(0) % 2 == 0 ? UtilSource::CpuQueue : UtilSource::NumInSystem;
+  std::unique_ptr<RoutingStrategy> strategy;
+  if (state.range(0) < 2) {
+    strategy = std::make_unique<MinIncomingRtStrategy>(params, source);
+  } else {
+    strategy = std::make_unique<MinAverageRtStrategy>(params, source);
+  }
+  Rng rng(20261018);
+  std::vector<SystemStateView> views(1024);
+  for (SystemStateView& v : views) {
+    v.config = &cfg;
+    v.site = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(cfg.num_sites)));
+    v.local_cpu_queue = static_cast<int>(rng.uniform_int(0, 6));
+    v.central_cpu_queue = static_cast<int>(rng.uniform_int(0, 20));
+    v.local_num_txns = v.local_cpu_queue + static_cast<int>(rng.uniform_int(0, 4));
+    v.central_num_txns = static_cast<int>(rng.uniform_int(5, 60));
+    v.local_locks_held = static_cast<int>(rng.uniform_int(0, 150));
+    v.central_locks_held = static_cast<int>(rng.uniform_int(0, 600));
+  }
+  Transaction txn;
+  txn.cls = TxnClass::A;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(strategy->decide(txn, views[i]));
+    i = (i + 1) % views.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(strategy->name());
+}
+BENCHMARK(BM_AnalyticDecide)->DenseRange(0, 3);
 
 void BM_AnalyticModelSolve(benchmark::State& state) {
   SystemConfig cfg;

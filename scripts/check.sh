@@ -202,6 +202,21 @@ check_bad_value 2 --seed tools/chaos_soak --seed=abc
 echo "cli: strategy_explorer --tps=abc/--sites=2.7, quickstart abc/-5," \
   "hlsreport --tol abc and chaos_soak --seed=abc rejected"
 
+# The environment is user input too: HLS_TIME_SCALE=inf once made every
+# window endless. It must run at the default scale (about 0.1 s here), with
+# one stderr line naming the variable.
+status=0
+HLS_TIME_SCALE=inf timeout 60 "./$BUILD/examples/trace_inspector" >/dev/null \
+  2>"$BUILD/cli_bad_env.err" || status=$?
+if [[ $status -ne 0 || $(wc -l <"$BUILD/cli_bad_env.err") -ne 1 ]] ||
+    ! grep -q HLS_TIME_SCALE "$BUILD/cli_bad_env.err"; then
+  echo "HLS_TIME_SCALE=inf trace_inspector: gave exit $status, expected 0 and" \
+    "one line naming HLS_TIME_SCALE:" >&2
+  cat "$BUILD/cli_bad_env.err" >&2
+  exit 1
+fi
+echo "cli: HLS_TIME_SCALE=inf ran at the default scale with one warning"
+
 mark trace
 # Span-trace smoke: trace_inspector end to end on its faulted run with the
 # Perfetto exporter attached, then schema-check the JSON (parses, pid/tid/
@@ -291,7 +306,7 @@ if cmake -B "$ASAN_BUILD" -G Ninja -DHLS_SANITIZE=address -DHLS_WERROR=ON \
       rfc_mode_test deadlock_policy_test metrics_test site_metrics_test \
       residuals_test dynamic_estimator_test analytic_model_test \
       static_optimizer_test capacity_test msg_chaos_test fault_injection_test \
-      trace_test >/dev/null 2>&1; then
+      trace_test route_range_test >/dev/null 2>&1; then
   HLS_TIME_SCALE=0.05 "./$ASAN_BUILD/bench/abl_fault_tolerance" >/dev/null
   HLS_TIME_SCALE=0.05 "./$ASAN_BUILD/bench/abl_adaptive_routing" >/dev/null
   # The same fixed-seed soak under asan: chaos episodes walk the dedup /
@@ -325,6 +340,9 @@ if cmake -B "$ASAN_BUILD" -G Ninja -DHLS_SANITIZE=address -DHLS_WERROR=ON \
   # optimizer and the capacity bisection run the split's two-length form.
   "./$ASAN_BUILD/tests/residuals_test" >/dev/null
   "./$ASAN_BUILD/tests/dynamic_estimator_test" >/dev/null
+  # Routes decided from the abort split's range: the property grid walks
+  # every count-table path, the one past the cap included.
+  "./$ASAN_BUILD/tests/route_range_test" >/dev/null
   "./$ASAN_BUILD/tests/analytic_model_test" >/dev/null
   "./$ASAN_BUILD/tests/static_optimizer_test" >/dev/null
   "./$ASAN_BUILD/tests/capacity_test" >/dev/null
@@ -334,7 +352,7 @@ if cmake -B "$ASAN_BUILD" -G Ninja -DHLS_SANITIZE=address -DHLS_WERROR=ON \
   "./$ASAN_BUILD/tests/msg_chaos_test" >/dev/null
   "./$ASAN_BUILD/tests/fault_injection_test" >/dev/null
   "./$ASAN_BUILD/tests/trace_test" >/dev/null
-  echo "asan: abl_fault_tolerance + adaptive gate + chaos soak + golden/conservation/phase/provenance/adaptive/rfc/deadlock/metrics/model/msg-chaos/fault/trace suites clean"
+  echo "asan: abl_fault_tolerance + adaptive gate + chaos soak + golden/conservation/phase/provenance/adaptive/rfc/deadlock/metrics/model/route-range/msg-chaos/fault/trace suites clean"
 else
   echo "asan: unavailable in this toolchain; skipped"
 fi
@@ -350,7 +368,7 @@ if cmake -B "$UBSAN_BUILD" -G Ninja -DHLS_SANITIZE=undefined -DHLS_WERROR=ON \
     cmake --build "$UBSAN_BUILD" -j --target golden_metrics_test \
       conservation_test system_test single_txn_test analytic_model_test \
       paper_properties_test residuals_test dynamic_estimator_test \
-      static_optimizer_test capacity_test msg_chaos_test \
+      route_range_test static_optimizer_test capacity_test msg_chaos_test \
       fault_injection_test >/dev/null 2>&1; then
   "./$UBSAN_BUILD/tests/golden_metrics_test" >/dev/null
   "./$UBSAN_BUILD/tests/conservation_test" >/dev/null
@@ -360,11 +378,12 @@ if cmake -B "$UBSAN_BUILD" -G Ninja -DHLS_SANITIZE=undefined -DHLS_WERROR=ON \
   "./$UBSAN_BUILD/tests/paper_properties_test" >/dev/null
   "./$UBSAN_BUILD/tests/residuals_test" >/dev/null
   "./$UBSAN_BUILD/tests/dynamic_estimator_test" >/dev/null
+  "./$UBSAN_BUILD/tests/route_range_test" >/dev/null
   "./$UBSAN_BUILD/tests/static_optimizer_test" >/dev/null
   "./$UBSAN_BUILD/tests/capacity_test" >/dev/null
   "./$UBSAN_BUILD/tests/msg_chaos_test" >/dev/null
   "./$UBSAN_BUILD/tests/fault_injection_test" >/dev/null
-  echo "ubsan: golden/conservation/system/single_txn/model/residuals/estimator/optimizer/capacity/properties/msg-chaos/fault clean"
+  echo "ubsan: golden/conservation/system/single_txn/model/residuals/estimator/route-range/optimizer/capacity/properties/msg-chaos/fault clean"
 else
   echo "ubsan: unavailable in this toolchain; skipped"
 fi

@@ -1,8 +1,10 @@
 #include "core/driver.hpp"
 
+#include <atomic>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <optional>
 
 #include "core/artifact.hpp"
 #include "model/static_optimizer.hpp"
@@ -10,6 +12,8 @@
 #include "obs/perfetto_sink.hpp"
 #include "routing/basic_strategies.hpp"
 #include "util/assert.hpp"
+#include "util/logging.hpp"
+#include "util/table.hpp"
 
 namespace hls {
 
@@ -95,8 +99,17 @@ double time_scale_from_env() {
   if (raw == nullptr) {
     return 1.0;
   }
-  const double v = std::atof(raw);
-  return v > 0.0 ? v : 1.0;
+  const std::optional<double> v = parse_number(raw);
+  if (v.has_value() && *v > 0.0) {
+    return *v;
+  }
+  // An infinite scale would make every window endless.
+  static std::atomic<bool> warned{false};
+  if (!warned.exchange(true)) {
+    HLS_LOG_WARN("HLS_TIME_SCALE '%s' is not a finite number above 0; using 1",
+                 raw);
+  }
+  return 1.0;
 }
 
 }  // namespace hls

@@ -59,6 +59,8 @@ struct RunResult {
 
 /// Scale factor for experiment durations taken from the HLS_TIME_SCALE
 /// environment variable (default 1.0; set to e.g. 0.2 for quick smoke runs).
+/// A value that is not a finite number above 0 gives 1.0 and, once per
+/// process, a warning on stderr naming the variable.
 [[nodiscard]] double time_scale_from_env();
 
 }  // namespace hls

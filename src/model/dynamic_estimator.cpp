@@ -105,7 +105,7 @@ double DynamicEstimator::local_speed_factor(const SystemStateView& view) {
   return view.config->local_mips / view.config->site_mips(view.site);
 }
 
-DynamicEstimator::Rts DynamicEstimator::response_times(
+DynamicEstimator::FixedPoint DynamicEstimator::fixed_point(
     double rho_l, double rho_c, double speed, const SystemStateView& view) const {
   const ModelParams& p = base_;
   const double n = p.n_calls;
@@ -145,40 +145,46 @@ DynamicEstimator::Rts DynamicEstimator::response_times(
     beta_c = (n + 1.0) / 2.0 * call_c + commit_c + 2.0 * d;
   }
 
+  FixedPoint fp;
+  fp.local_len = t_exec_l + commit_l;
+  fp.central_len = t_exec_c + commit_c;
   // Abort probabilities via the residual-time split of §3.1, driven by the
-  // observed cross-tier lock densities.
-  const AbortSplit split = abort_split(t_exec_l + commit_l, t_exec_c + commit_c, d);
-  const double p_a_l =
-      std::min(0.9, n * p_cross * split.local_requester_outlives);
-  const double p_local_density =
-      std::min(1.0, view.local_locks_held / part * conflict);
-  const double p_a_c = std::min(
-      0.9, n * p_local_density * (1.0 - split.local_holder_outlives));
+  // observed cross-tier lock densities: the local lock density is p_ll.
+  fp.local_aborts = n * p_cross;
+  fp.central_aborts = n * p_ll;
 
   const double auth_phase =
       2.0 * d + speed * p.local_cpu(p.instr_auth_local) * f_l;
+  fp.r_l_first = speed * p.local_cpu(p.instr_msg_init) * f_l + p.setup_io +
+                 t_exec_l + commit_l;
+  fp.r_l_rerun = speed * p.local_cpu(p.instr_msg_init) * f_l +
+                 (t_exec_l - n * p.prob_call_io * p.call_io) + commit_l;
+  fp.r_c_first = p.central_cpu(p.instr_msg_init) * f_c + p.setup_io + t_exec_c +
+                 commit_c + auth_phase;
+  fp.r_c_rerun = p.central_cpu(p.instr_msg_init) * f_c +
+                 (t_exec_c - n * p.prob_call_io * p.call_io) + commit_c +
+                 auth_phase;
+  fp.ship_legs = speed * p.local_cpu(p.instr_ship_forward) * f_l + 2.0 * d;
+  return fp;
+}
 
+DynamicEstimator::Rts DynamicEstimator::finish(const FixedPoint& fp,
+                                               const AbortSplit& split) {
+  const double p_a_l =
+      std::min(0.9, fp.local_aborts * split.local_requester_outlives);
+  const double p_a_c =
+      std::min(0.9, fp.central_aborts * (1.0 - split.local_holder_outlives));
   Rts out;
-  const double r_l_first = speed * p.local_cpu(p.instr_msg_init) * f_l +
-                           p.setup_io + t_exec_l + commit_l;
-  const double r_l_rerun = speed * p.local_cpu(p.instr_msg_init) * f_l +
-                           (t_exec_l - n * p.prob_call_io * p.call_io) +
-                           commit_l;
-  out.r_local = r_l_first + p_a_l / (1.0 - std::min(0.9, p_a_l)) * r_l_rerun;
-
-  const double r_c_first = p.central_cpu(p.instr_msg_init) * f_c + p.setup_io +
-                           t_exec_c + commit_c + auth_phase;
-  const double r_c_rerun = p.central_cpu(p.instr_msg_init) * f_c +
-                           (t_exec_c - n * p.prob_call_io * p.call_io) + commit_c +
-                           auth_phase;
-  out.r_central = r_c_first + p_a_c / (1.0 - std::min(0.9, p_a_c)) * r_c_rerun;
-  out.r_shipped = speed * p.local_cpu(p.instr_ship_forward) * f_l + 2.0 * d +
-                  out.r_central;
+  out.r_local =
+      fp.r_l_first + p_a_l / (1.0 - std::min(0.9, p_a_l)) * fp.r_l_rerun;
+  out.r_central =
+      fp.r_c_first + p_a_c / (1.0 - std::min(0.9, p_a_c)) * fp.r_c_rerun;
+  out.r_shipped = fp.ship_legs + out.r_central;
   return out;
 }
 
-RouteEstimate DynamicEstimator::estimate(const SystemStateView& view) const {
-  RouteEstimate est;
+DynamicEstimator::Options DynamicEstimator::options(
+    const SystemStateView& view) const {
   const double speed = local_speed_factor(view);
 
   // Option 1: run locally — the incoming transaction loads the local CPU.
@@ -212,12 +218,15 @@ RouteEstimate DynamicEstimator::estimate(const SystemStateView& view) const {
     rho_c_opt2 = tabulated_rho(central_rho_, view.central_num_txns, 1, s_central_,
                                dnc_central_);
   }
+  return {fixed_point(rho_l_opt1, rho_c_opt1, speed, view),
+          fixed_point(rho_l_opt2, rho_c_opt2, speed, view)};
+}
 
-  const Rts rts1 = response_times(rho_l_opt1, rho_c_opt1, speed, view);
-  const Rts rts2 = response_times(rho_l_opt2, rho_c_opt2, speed, view);
-
-  est.r_incoming_local = rts1.r_local;
-  est.r_incoming_ship = rts2.r_shipped;
+RouteEstimate DynamicEstimator::combine(const Rts& run_local, const Rts& ship,
+                                        const SystemStateView& view) {
+  RouteEstimate est;
+  est.r_incoming_local = run_local.r_local;
+  est.r_incoming_ship = ship.r_shipped;
 
   // §3.2.2: estimated average over the currently running transactions plus
   // the incoming one, for each option. The incoming transaction contributes
@@ -226,11 +235,58 @@ RouteEstimate DynamicEstimator::estimate(const SystemStateView& view) const {
   const double n_l = std::max(0, view.local_num_txns);
   const double n_c = std::max(0, view.central_num_txns);
   const double total = n_l + n_c + 1.0;
-  est.r_avg_if_local =
-      (n_l * rts1.r_local + n_c * rts1.r_central + rts1.r_local) / total;
+  est.r_avg_if_local = (n_l * run_local.r_local + n_c * run_local.r_central +
+                        run_local.r_local) /
+                       total;
   est.r_avg_if_ship =
-      (n_l * rts2.r_local + n_c * rts2.r_central + rts2.r_shipped) / total;
+      (n_l * ship.r_local + n_c * ship.r_central + ship.r_shipped) / total;
   return est;
+}
+
+RouteEstimate DynamicEstimator::estimate(const SystemStateView& view) const {
+  const Options opt = options(view);
+  const double d = base_.comm_delay;
+  return combine(
+      finish(opt.run_local,
+             abort_split(opt.run_local.local_len, opt.run_local.central_len, d)),
+      finish(opt.ship, abort_split(opt.ship.local_len, opt.ship.central_len, d)),
+      view);
+}
+
+std::optional<RouteRange> DynamicEstimator::estimate_range(
+    const SystemStateView& view) const {
+  // finish() and combine() reach the four times from the split through
+  // correctly rounded +, -, *, / and min, each monotone in the split while
+  // the abort coefficients and rerun lengths are non-negative: P_abort_local
+  // rises with local_requester_outlives and P_abort_central falls with
+  // local_holder_outlives. abort_split clamps both to [0, 1] whenever it
+  // returns a number, so the split's two ends bound every time.
+  const auto bracketed = [](const FixedPoint& fp) {
+    return fp.local_aborts >= 0.0 && fp.central_aborts >= 0.0 &&
+           fp.r_l_rerun >= 0.0 && fp.r_c_rerun >= 0.0 &&
+           abort_split_is_number(fp.central_len);
+  };
+  const Options opt = options(view);
+  if (!bracketed(opt.run_local) || !bracketed(opt.ship)) {
+    return std::nullopt;
+  }
+  constexpr AbortSplit kFewestAborts{0.0, 1.0};
+  constexpr AbortSplit kMostAborts{1.0, 0.0};
+  const RouteRange range{
+      combine(finish(opt.run_local, kFewestAborts),
+              finish(opt.ship, kFewestAborts), view),
+      combine(finish(opt.run_local, kMostAborts), finish(opt.ship, kMostAborts),
+              view)};
+  // An infinite time can meet a zero weight in combine()'s averages, whose
+  // NaN would escape the bounds; finite ends keep every time between them
+  // finite too.
+  for (const RouteEstimate& e : {range.lo, range.hi}) {
+    if (!std::isfinite(e.r_incoming_local) || !std::isfinite(e.r_incoming_ship) ||
+        !std::isfinite(e.r_avg_if_local) || !std::isfinite(e.r_avg_if_ship)) {
+      return std::nullopt;
+    }
+  }
+  return range;
 }
 
 }  // namespace hls

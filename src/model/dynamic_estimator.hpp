@@ -19,12 +19,15 @@
 // time over all currently running transactions (§3.2.2).
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "model/params.hpp"
 #include "routing/strategy.hpp"
 
 namespace hls {
+
+struct AbortSplit;  // model/residuals.hpp
 
 enum class UtilSource {
   CpuQueue,     ///< utilization from CPU queue lengths (§3.2.1a)
@@ -41,11 +44,27 @@ struct RouteEstimate {
   double r_avg_if_ship = 0.0;
 };
 
+/// Bounds on estimate(view), field by field: `lo` with the abort split at
+/// its fewest-aborts end {0, 1}, `hi` at its most-aborts end {1, 0}.
+struct RouteRange {
+  RouteEstimate lo;
+  RouteEstimate hi;
+};
+
 class DynamicEstimator {
  public:
   DynamicEstimator(ModelParams base, UtilSource source);
 
   [[nodiscard]] RouteEstimate estimate(const SystemStateView& view) const;
+
+  /// estimate(view) without the abort splits: each option's fixed point
+  /// runs once and finishes with the split pinned at both ends of [0, 1].
+  /// When it returns a range, lo <= estimate(view) <= hi holds for every
+  /// field, and all eight bounds are finite. It returns none when that
+  /// cannot be promised: a negative rerun length or abort coefficient, or
+  /// a central length for which the split is not a number.
+  [[nodiscard]] std::optional<RouteRange> estimate_range(
+      const SystemStateView& view) const;
 
   /// Utilization pair (local, central) inverted from the observed state,
   /// without any incoming-transaction correction.
@@ -64,11 +83,38 @@ class DynamicEstimator {
     double r_shipped = 0.0;  ///< class A shipped (incl. both comm legs)
     double r_central = 0.0;  ///< a central-resident transaction (no ship leg)
   };
-  /// Response times under given utilizations and observed lock counts.
+  /// Everything of one option's response times that the abort split does
+  /// not change: the hold-time fixed point and the run lengths it gives.
+  struct FixedPoint {
+    double local_len = 0.0;    ///< the split's local run length
+    double central_len = 0.0;  ///< the split's central run length
+    /// P_abort_local per unit of split.local_requester_outlives.
+    double local_aborts = 0.0;
+    /// P_abort_central per unit of 1 - split.local_holder_outlives.
+    double central_aborts = 0.0;
+    double r_l_first = 0.0;
+    double r_l_rerun = 0.0;
+    double r_c_first = 0.0;
+    double r_c_rerun = 0.0;
+    double ship_legs = 0.0;  ///< forwarding burst plus both comm legs
+  };
+  /// The two routing options' fixed points: run locally, ship.
+  struct Options {
+    FixedPoint run_local;
+    FixedPoint ship;
+  };
+
+  [[nodiscard]] Options options(const SystemStateView& view) const;
+  /// Fixed point under given utilizations and observed lock counts.
   /// `speed` scales local CPU times for heterogeneous sites (1 = the
   /// configured default local_mips; 0.5 = a site twice as fast).
-  [[nodiscard]] Rts response_times(double rho_l, double rho_c, double speed,
-                                   const SystemStateView& view) const;
+  [[nodiscard]] FixedPoint fixed_point(double rho_l, double rho_c, double speed,
+                                       const SystemStateView& view) const;
+  /// Response times of a fixed point under an abort split.
+  [[nodiscard]] static Rts finish(const FixedPoint& fp, const AbortSplit& split);
+  [[nodiscard]] static RouteEstimate combine(const Rts& run_local,
+                                             const Rts& ship,
+                                             const SystemStateView& view);
 
   [[nodiscard]] double rho_from_queue(int queue, double extra) const;
   /// Inverts "transactions in system" to utilization by Little's law:

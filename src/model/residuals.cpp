@@ -190,6 +190,10 @@ template std::array<AbortSplit, 1> abort_splits(const std::array<double, 1>&,
 template std::array<AbortSplit, 2> abort_splits(const std::array<double, 2>&,
                                                 double, double);
 
+bool abort_split_is_number(double central_len) {
+  return central_len <= 0.0 || (central_len >= 1e-150 && central_len <= 1e150);
+}
+
 AbortSplit abort_split(double local_len, double central_len, double offset) {
   return abort_splits<1>({local_len}, central_len, offset)[0];
 }

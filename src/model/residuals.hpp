@@ -59,6 +59,15 @@ struct AbortSplit {
 [[nodiscard]] AbortSplit abort_split(double local_len, double central_len,
                                      double offset);
 
+/// True when abort_split(local_len, central_len, offset) returns numbers,
+/// each in [0, 1], for every local_len and offset it accepts. Its Simpson
+/// weights divide by central_len², which overflows or underflows to zero
+/// at extreme lengths and makes the split NaN there (for example, at
+/// central_len = 1e-200). Zero, the point mass, and the lengths in
+/// [1e-150, 1e150], where every weight is finite, answer true; the other
+/// positive lengths answer false.
+[[nodiscard]] bool abort_split_is_number(double central_len);
+
 /// The abort splits of N local lengths against one central length and
 /// offset, in one Simpson pass that computes the central grid once for all
 /// of them. Element k equals abort_split(local_lens[k], central_len, offset)

@@ -57,7 +57,7 @@ void EventQueue::free_slot(std::uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-EventId EventQueue::push(SimTime time, Callback callback) {
+EventId EventQueue::push(SimTime time, Callback&& callback) {
   const std::uint32_t slot = allocate_slot();
   slots_[slot].callback = std::move(callback);
   const std::uint64_t day = day_of(time);

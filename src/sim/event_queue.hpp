@@ -34,8 +34,9 @@ class EventQueue {
 
   EventQueue();
 
-  /// Inserts an event; returns an id usable with cancel().
-  EventId push(SimTime time, Callback callback);
+  /// Inserts an event, moving `callback` into its slot; returns an id
+  /// usable with cancel().
+  EventId push(SimTime time, Callback&& callback);
 
   /// Marks an event cancelled. Returns false if the event already fired,
   /// was already cancelled, or never existed.

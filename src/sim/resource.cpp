@@ -13,40 +13,31 @@ FcfsResource::FcfsResource(Simulator& sim, std::string name)
 
 void FcfsResource::submit(double service_time, Callback on_complete) {
   HLS_ASSERT(service_time >= 0.0, "negative CPU service time");
-  queue_.push_back(Job{service_time, std::move(on_complete), sim_.now()});
-  record_state();
-  if (!busy_) {
-    start_next();
+  queue_.emplace_back(service_time, std::move(on_complete), sim_.now());
+  if (queue_.size() == 1) {
+    start_front();
   }
+  record_state();
 }
 
-void FcfsResource::start_next() {
-  HLS_ASSERT(!busy_, "starting service while busy");
-  if (queue_.empty()) {
-    record_state();
-    return;
-  }
-  Job job = std::move(queue_.front());
-  queue_.pop_front();
-  busy_ = true;
-  active_completion_ = std::move(job.on_complete);
-  active_service_ = job.service_time;
-  active_submitted_ = job.submitted;
-  record_state();
-  sim_.schedule_after(job.service_time, [this] { on_service_complete(); });
+void FcfsResource::start_front() {
+  sim_.schedule_after(queue_.front().service_time,
+                      [this] { on_service_complete(); });
 }
 
 void FcfsResource::on_service_complete() {
-  HLS_ASSERT(busy_, "completion without a job in service");
-  Callback done = std::move(active_completion_);
-  active_completion_ = Callback{};
-  busy_ = false;
+  HLS_ASSERT(!queue_.empty(), "completion without a job in service");
+  Job& job = queue_.front();
+  Callback done = std::move(job.on_complete);
   ++completed_;
-  busy_seconds_ += active_service_;
-  sojourn_seconds_ += sim_.now() - active_submitted_;
+  busy_seconds_ += job.service_time;
+  sojourn_seconds_ += sim_.now() - job.submitted;
+  queue_.pop_front();
+  if (!queue_.empty()) {
+    start_front();
+  }
   record_state();
-  start_next();
-  // Invoke the completion after dequeuing the next job so that work the
+  // Invoke the completion after starting the next job so that work the
   // callback submits queues behind already-waiting jobs (strict FCFS).
   if (done) {
     done();
@@ -54,7 +45,7 @@ void FcfsResource::on_service_complete() {
 }
 
 void FcfsResource::record_state() {
-  busy_stat_.set(sim_.now(), busy_ ? 1.0 : 0.0);
+  busy_stat_.set(sim_.now(), busy() ? 1.0 : 0.0);
   queue_stat_.set(sim_.now(), static_cast<double>(queue_length()));
 }
 

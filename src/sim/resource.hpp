@@ -36,11 +36,9 @@ class FcfsResource {
   void submit(double service_time, Callback on_complete);
 
   /// Jobs waiting plus the one in service (the paper's "CPU queue length").
-  [[nodiscard]] std::size_t queue_length() const {
-    return queue_.size() + (busy_ ? 1 : 0);
-  }
+  [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
 
-  [[nodiscard]] bool busy() const { return busy_; }
+  [[nodiscard]] bool busy() const { return !queue_.empty(); }
   [[nodiscard]] const std::string& name() const { return name_; }
 
   /// Fraction of time busy since the last stats reset.
@@ -74,17 +72,15 @@ class FcfsResource {
     double submitted;
   };
 
-  void start_next();
+  /// Schedules the completion of the burst at the front of the queue.
+  void start_front();
   void on_service_complete();
   void record_state();
 
   Simulator& sim_;
   std::string name_;
+  /// The burst in service, if any, at the front; then the waiting ones.
   std::deque<Job> queue_;
-  bool busy_ = false;
-  Callback active_completion_;
-  double active_service_ = 0.0;
-  double active_submitted_ = 0.0;
   std::uint64_t completed_ = 0;
   double busy_seconds_ = 0.0;
   double sojourn_seconds_ = 0.0;

@@ -1,16 +1,32 @@
 #include "util/task_pool.hpp"
 
+#include <atomic>
 #include <cstdlib>
 
 #include "util/assert.hpp"
+#include "util/logging.hpp"
+#include "util/table.hpp"
 
 namespace hls {
 
+std::optional<unsigned> TaskPool::parse_jobs(const std::string& text) {
+  const std::optional<std::uint64_t> v = parse_uint64(text);
+  if (!v.has_value() || *v < 1 || *v > kMaxJobs) {
+    return std::nullopt;
+  }
+  return static_cast<unsigned>(*v);
+}
+
 unsigned TaskPool::jobs_from_env() {
   if (const char* raw = std::getenv("HLS_JOBS")) {
-    const long v = std::strtol(raw, nullptr, 10);
-    if (v >= 1) {
-      return static_cast<unsigned>(v);
+    if (const std::optional<unsigned> jobs = parse_jobs(raw)) {
+      return *jobs;
+    }
+    static std::atomic<bool> warned{false};
+    if (!warned.exchange(true)) {
+      HLS_LOG_WARN("HLS_JOBS '%s' is not a whole number in [1, %u]; using the "
+                   "hardware concurrency",
+                   raw, kMaxJobs);
     }
   }
   const unsigned hw = std::thread::hardware_concurrency();

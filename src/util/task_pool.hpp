@@ -9,8 +9,9 @@
 // count or completion order. With one worker the loop runs inline on the
 // calling thread — byte-for-byte the old sequential path, no threads spawned.
 //
-// Worker count comes from the HLS_JOBS environment variable (default:
-// hardware_concurrency; HLS_JOBS=1 forces sequential execution).
+// Worker count comes from the HLS_JOBS environment variable: a whole number
+// in [1, 256] (HLS_JOBS=1 forces sequential execution). Unset, or set to
+// anything else, it is hardware_concurrency.
 #pragma once
 
 #include <condition_variable>
@@ -19,6 +20,8 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,7 +29,15 @@ namespace hls {
 
 class TaskPool {
  public:
+  static constexpr unsigned kMaxJobs = 256;
+
+  /// `text` as a worker count: a whole number in [1, kMaxJobs], digits
+  /// only; none for anything else.
+  [[nodiscard]] static std::optional<unsigned> parse_jobs(const std::string& text);
+
   /// Worker count requested via HLS_JOBS, else hardware_concurrency (>= 1).
+  /// A value parse_jobs rejects also gives hardware_concurrency and, once
+  /// per process, a warning on stderr naming the variable.
   [[nodiscard]] static unsigned jobs_from_env();
 
   /// `workers == 0` means jobs_from_env(). A pool with one worker runs

@@ -78,6 +78,18 @@ TEST(Driver, TimeScaleEnvParses) {
   unsetenv("HLS_TIME_SCALE");
 }
 
+TEST(Driver, TimeScaleEnvRejectsWhatIsNotAFiniteScale) {
+  // An infinite scale made every window endless; a trailing character used
+  // to be ignored.
+  for (const char* bad : {"inf", "1e999", "nan", "0", "-1", "0.5x", ""}) {
+    setenv("HLS_TIME_SCALE", bad, 1);
+    EXPECT_DOUBLE_EQ(time_scale_from_env(), 1.0) << "'" << bad << "'";
+  }
+  setenv("HLS_TIME_SCALE", "1e-3", 1);
+  EXPECT_DOUBLE_EQ(time_scale_from_env(), 1e-3);
+  unsetenv("HLS_TIME_SCALE");
+}
+
 TEST(Experiment, SweepProducesOnePointPerRate) {
   ExperimentRunner runner(light_config(), quick_options());
   const Series s = runner.sweep_rates({StrategyKind::NoLoadSharing, 0.0}, "none",

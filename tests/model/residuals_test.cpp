@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cmath>
+#include <limits>
 #include <ostream>
 
 #include "util/random.hpp"
@@ -162,6 +163,33 @@ TEST(AbortSplits, TwoLocalLengthsEqualTwoSingleSplits) {
           << " central=" << central << " offset=" << offset;
     }
   }
+}
+
+TEST(AbortSplit, IsANumberWhereverItSaysSo) {
+  // The lengths at which the split's Simpson weights overflow or underflow
+  // make it NaN: why abort_split_is_number exists.
+  EXPECT_TRUE(std::isnan(abort_split(1.0, 1e-200, 0.0).local_requester_outlives));
+  EXPECT_FALSE(abort_split_is_number(1e-200));
+  EXPECT_TRUE(abort_split_is_number(0.0));
+  const double inf = std::numeric_limits<double>::infinity();
+  int numbers = 0;
+  for (double central = 1e-320; central < 1e308; central *= 7.3) {
+    for (double offset : {0.0, 0.2, 1e9, inf}) {
+      for (double local : {0.0, 1e-300, 1e-9, 0.5, 3.0, 1e200, inf}) {
+        if (!abort_split_is_number(central)) {
+          continue;
+        }
+        ++numbers;
+        const AbortSplit s = abort_split(local, central, offset);
+        for (double p : {s.local_requester_outlives, s.local_holder_outlives}) {
+          ASSERT_TRUE(p >= 0.0 && p <= 1.0)
+              << "local=" << local << " central=" << central
+              << " offset=" << offset << " p=" << p;
+        }
+      }
+    }
+  }
+  EXPECT_GT(numbers, 1000);
 }
 
 // ---- Monte-Carlo cross-validation ----

@@ -76,5 +76,17 @@ TEST(TaskPool, JobsFromEnvIsAtLeastOne) {
   EXPECT_GE(TaskPool::jobs_from_env(), 1u);
 }
 
+// HLS_JOBS is parsed here, never by building a pool: a large value would
+// ask for that many threads.
+TEST(TaskPool, ParseJobsTakesWholeNumbersUpToTheCap) {
+  EXPECT_EQ(TaskPool::parse_jobs("1"), 1u);
+  EXPECT_EQ(TaskPool::parse_jobs("4"), 4u);
+  EXPECT_EQ(TaskPool::parse_jobs("256"), TaskPool::kMaxJobs);
+  for (const char* bad : {"0", "257", "100000", "99999999999999999999999", "-1",
+                          "4x", "4.0", "1e2", " 4", "abc", ""}) {
+    EXPECT_EQ(TaskPool::parse_jobs(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
 }  // namespace
 }  // namespace hls
