@@ -43,8 +43,8 @@ void BM_EventQueueCancelChurn(benchmark::State& state) {
   // The timeout pattern: schedule a guard event, cancel it before it fires,
   // while regular traffic pushes and pops around it. With the
   // generation/slot scheme the cancel is O(1); the old side-table verified
-  // each cancel with an O(depth) heap scan. Cancelled entries are reaped
-  // lazily when they surface, so the queue stays near `depth` live events.
+  // each cancel with an O(depth) heap scan. Cancel removes the entry from
+  // its bucket at once, so the queue holds exactly `depth` events.
   const std::size_t depth = state.range(0);
   Rng rng(3);
   EventQueue q;

@@ -217,6 +217,23 @@ if [[ $status -ne 0 || $(wc -l <"$BUILD/cli_bad_env.err") -ne 1 ]] ||
 fi
 echo "cli: HLS_TIME_SCALE=inf ran at the default scale with one warning"
 
+# HLS_CHAOS_EPISODES=2x once ran 2 episodes and 0x2 the default 100, both
+# silently: a value that is not all a whole number in [1, INT_MAX] must be
+# one stderr line naming the variable, and the soak runs as if it were
+# unset (here --episodes=1 sets the count).
+status=0
+HLS_CHAOS_EPISODES=2x "./$BUILD/tools/chaos_soak" --episodes=1 \
+  --shrink-out="$BUILD/chaos_repro_env.conf" >/dev/null \
+  2>"$BUILD/cli_bad_env.err" || status=$?
+if [[ $status -ne 0 || $(wc -l <"$BUILD/cli_bad_env.err") -ne 1 ]] ||
+    ! grep -q HLS_CHAOS_EPISODES "$BUILD/cli_bad_env.err"; then
+  echo "HLS_CHAOS_EPISODES=2x chaos_soak --episodes=1: gave exit $status," \
+    "expected 0 and one line naming HLS_CHAOS_EPISODES:" >&2
+  cat "$BUILD/cli_bad_env.err" >&2
+  exit 1
+fi
+echo "cli: HLS_CHAOS_EPISODES=2x rejected with one warning"
+
 mark trace
 # Span-trace smoke: trace_inspector end to end on its faulted run with the
 # Perfetto exporter attached, then schema-check the JSON (parses, pid/tid/
@@ -306,7 +323,8 @@ if cmake -B "$ASAN_BUILD" -G Ninja -DHLS_SANITIZE=address -DHLS_WERROR=ON \
       rfc_mode_test deadlock_policy_test metrics_test site_metrics_test \
       residuals_test dynamic_estimator_test analytic_model_test \
       static_optimizer_test capacity_test msg_chaos_test fault_injection_test \
-      trace_test route_range_test >/dev/null 2>&1; then
+      trace_test route_range_test event_queue_test resource_test link_test \
+      lock_manager_test lock_differential_test ring_test >/dev/null 2>&1; then
   HLS_TIME_SCALE=0.05 "./$ASAN_BUILD/bench/abl_fault_tolerance" >/dev/null
   HLS_TIME_SCALE=0.05 "./$ASAN_BUILD/bench/abl_adaptive_routing" >/dev/null
   # The same fixed-seed soak under asan: chaos episodes walk the dedup /
@@ -352,7 +370,18 @@ if cmake -B "$ASAN_BUILD" -G Ninja -DHLS_SANITIZE=address -DHLS_WERROR=ON \
   "./$ASAN_BUILD/tests/msg_chaos_test" >/dev/null
   "./$ASAN_BUILD/tests/fault_injection_test" >/dev/null
   "./$ASAN_BUILD/tests/trace_test" >/dev/null
-  echo "asan: abl_fault_tolerance + adaptive gate + chaos soak + golden/conservation/phase/provenance/adaptive/rfc/deadlock/metrics/model/route-range/msg-chaos/fault/trace suites clean"
+  # The engine's queues: the calendar queue's eager cancellation, and the
+  # rings under the CPU queues, the links' flight queues and the lock
+  # tables' wait queues (moved-from closures left in their slots). The
+  # lock differential suite drives every wait-queue path, cancel_waits'
+  # rotation included.
+  "./$ASAN_BUILD/tests/event_queue_test" >/dev/null
+  "./$ASAN_BUILD/tests/resource_test" >/dev/null
+  "./$ASAN_BUILD/tests/link_test" >/dev/null
+  "./$ASAN_BUILD/tests/lock_manager_test" >/dev/null
+  "./$ASAN_BUILD/tests/lock_differential_test" >/dev/null
+  "./$ASAN_BUILD/tests/ring_test" >/dev/null
+  echo "asan: abl_fault_tolerance + adaptive gate + chaos soak + golden/conservation/phase/provenance/adaptive/rfc/deadlock/metrics/model/route-range/msg-chaos/fault/trace/event-queue/resource/link/lock/lock-differential/ring suites clean"
 else
   echo "asan: unavailable in this toolchain; skipped"
 fi
@@ -369,7 +398,8 @@ if cmake -B "$UBSAN_BUILD" -G Ninja -DHLS_SANITIZE=undefined -DHLS_WERROR=ON \
       conservation_test system_test single_txn_test analytic_model_test \
       paper_properties_test residuals_test dynamic_estimator_test \
       route_range_test static_optimizer_test capacity_test msg_chaos_test \
-      fault_injection_test >/dev/null 2>&1; then
+      fault_injection_test event_queue_test resource_test link_test \
+      lock_manager_test lock_differential_test ring_test >/dev/null 2>&1; then
   "./$UBSAN_BUILD/tests/golden_metrics_test" >/dev/null
   "./$UBSAN_BUILD/tests/conservation_test" >/dev/null
   "./$UBSAN_BUILD/tests/system_test" >/dev/null
@@ -383,7 +413,15 @@ if cmake -B "$UBSAN_BUILD" -G Ninja -DHLS_SANITIZE=undefined -DHLS_WERROR=ON \
   "./$UBSAN_BUILD/tests/capacity_test" >/dev/null
   "./$UBSAN_BUILD/tests/msg_chaos_test" >/dev/null
   "./$UBSAN_BUILD/tests/fault_injection_test" >/dev/null
-  echo "ubsan: golden/conservation/system/single_txn/model/residuals/estimator/route-range/optimizer/capacity/properties/msg-chaos/fault clean"
+  # The engine's index arithmetic: calendar days and bucket masks, ring
+  # positions, and the lock table's slot positions.
+  "./$UBSAN_BUILD/tests/event_queue_test" >/dev/null
+  "./$UBSAN_BUILD/tests/resource_test" >/dev/null
+  "./$UBSAN_BUILD/tests/link_test" >/dev/null
+  "./$UBSAN_BUILD/tests/lock_manager_test" >/dev/null
+  "./$UBSAN_BUILD/tests/lock_differential_test" >/dev/null
+  "./$UBSAN_BUILD/tests/ring_test" >/dev/null
+  echo "ubsan: golden/conservation/system/single_txn/model/residuals/estimator/route-range/optimizer/capacity/properties/msg-chaos/fault/event-queue/resource/link/lock/lock-differential/ring clean"
 else
   echo "ubsan: unavailable in this toolchain; skipped"
 fi

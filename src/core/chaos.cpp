@@ -13,6 +13,7 @@
 #include "obs/phase.hpp"
 #include "obs/sink.hpp"
 #include "util/assert.hpp"
+#include "util/table.hpp"
 
 namespace hls {
 
@@ -408,6 +409,15 @@ void write_chaos_repro(std::ostream& out, const ChaosEpisode& episode) {
   out << "# rerun: ./build/tools/chaos_soak --repro=<this file>\n";
   out << "# " << describe_chaos_episode(episode) << "\n";
   describe_config(out, episode.config);
+}
+
+std::optional<int> parse_chaos_episodes(const std::string& text) {
+  const std::optional<std::uint64_t> n = parse_uint64(text);
+  if (!n.has_value() || *n == 0 ||
+      *n > static_cast<std::uint64_t>(kMaxChaosEpisodes)) {
+    return std::nullopt;
+  }
+  return static_cast<int>(*n);
 }
 
 std::optional<ChaosEpisode> parse_chaos_repro(std::istream& in,

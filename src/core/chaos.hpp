@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -110,5 +111,14 @@ void write_chaos_repro(std::ostream& out, const ChaosEpisode& episode);
 /// One-line episode summary (sites, load, strategy, fault windows) printed
 /// before each run so a hard abort mid-episode is attributable.
 [[nodiscard]] std::string describe_chaos_episode(const ChaosEpisode& episode);
+
+/// Largest episode count a soak takes (the count is an int).
+inline constexpr int kMaxChaosEpisodes = std::numeric_limits<int>::max();
+
+/// An episode count as the soak tool reads it from --episodes= or the
+/// HLS_CHAOS_EPISODES variable: all of `text` as a whole number in
+/// [1, kMaxChaosEpisodes], or std::nullopt ("2x", "0x2", "0", "" and
+/// out-of-range values alike).
+[[nodiscard]] std::optional<int> parse_chaos_episodes(const std::string& text);
 
 }  // namespace hls

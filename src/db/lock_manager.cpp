@@ -8,13 +8,21 @@
 
 namespace hls {
 
+namespace {
+
+/// FlatMap::position's "no such key", the same for every key type.
+constexpr std::size_t kAbsent = FlatMap<LockId, std::uint32_t>::kAbsent;
+
+}  // namespace
+
 LockManager::LockManager(Simulator& sim, std::string name)
     : sim_(sim), name_(std::move(name)) {}
 
-LockManager::Entry& LockManager::entry_for(LockId lock) {
+std::size_t LockManager::entry_for(LockId lock) {
   bool inserted = false;
-  std::uint32_t& slot = table_index_.find_or_insert(lock, &inserted);
+  const std::size_t at = table_index_.insert_position(lock, &inserted);
   if (inserted) {
+    std::uint32_t& slot = table_index_.value_at(at);
     if (free_entries_.empty()) {
       slot = static_cast<std::uint32_t>(entry_pool_.size());
       entry_pool_.emplace_back();
@@ -23,12 +31,7 @@ LockManager::Entry& LockManager::entry_for(LockId lock) {
       free_entries_.pop_back();
     }
   }
-  return entry_pool_[slot];
-}
-
-LockManager::Entry* LockManager::lookup_entry(LockId lock) {
-  std::uint32_t* slot = table_index_.find(lock);
-  return slot == nullptr ? nullptr : &entry_pool_[*slot];
+  return at;
 }
 
 const LockManager::Entry* LockManager::lookup_entry(LockId lock) const {
@@ -51,10 +54,11 @@ std::vector<LockId>& LockManager::held_for(TxnId txn) {
   return held_pool_[slot];
 }
 
-void LockManager::drop_held(TxnId txn, std::uint32_t slot) {
+void LockManager::drop_held(std::size_t index_pos) {
+  const std::uint32_t slot = held_index_.value_at(index_pos);
   held_pool_[slot].clear();
   free_held_.push_back(slot);
-  held_index_.erase(txn);
+  held_index_.erase_at(index_pos);
 }
 
 bool LockManager::grantable(const Entry& entry, TxnId txn, LockMode mode) {
@@ -76,9 +80,13 @@ LockRequestOutcome LockManager::request(TxnId txn, LockId lock, LockMode mode,
   HLS_ASSERT(waiting_on_.find(txn) == nullptr,
              "transaction already blocked on a lock");
   note_access(lock);
-  Entry& entry = entry_for(lock);
+  const std::size_t at = entry_for(lock);
+  Entry& entry = entry_at(at);
 
-  // Already-held fast path.
+  // Already-held fast path; a shared holder asking for exclusive is an
+  // upgrade (holders and the held index match one to one, so this scan
+  // is the holds() test).
+  Holder* upgrading = nullptr;
   for (Holder& h : entry.holders) {
     if (h.txn != txn) {
       continue;
@@ -86,19 +94,15 @@ LockRequestOutcome LockManager::request(TxnId txn, LockId lock, LockMode mode,
     if (h.mode == LockMode::Exclusive || mode == LockMode::Shared) {
       return LockRequestOutcome::AlreadyHeld;
     }
-    break;  // shared -> exclusive upgrade falls through to grant/queue logic
+    upgrading = &h;  // falls through to the grant/queue logic
+    break;
   }
 
-  const bool is_upgrade = holds(txn, lock);
   // Strict FIFO: a new request is granted immediately only when it is
   // compatible with the holders and nobody is queued ahead of it.
   if (entry.queue.empty() && grantable(entry, txn, mode)) {
-    if (is_upgrade) {
-      for (Holder& h : entry.holders) {
-        if (h.txn == txn) {
-          h.mode = LockMode::Exclusive;
-        }
-      }
+    if (upgrading != nullptr) {
+      upgrading->mode = LockMode::Exclusive;
     } else {
       entry.holders.push_back(Holder{txn, mode});
       held_for(txn).push_back(lock);
@@ -113,7 +117,7 @@ LockRequestOutcome LockManager::request(TxnId txn, LockId lock, LockMode mode,
     if (cycle_out != nullptr) {
       *cycle_out = std::move(cycle);
     }
-    drop_entry_if_empty(lock);
+    drop_if_drained(at);
     return LockRequestOutcome::Deadlock;
   }
 
@@ -125,40 +129,41 @@ LockRequestOutcome LockManager::request(TxnId txn, LockId lock, LockMode mode,
 }
 
 void LockManager::release(TxnId txn, LockId lock) {
-  Entry* entry = lookup_entry(lock);
-  HLS_ASSERT(entry != nullptr, "releasing a lock with no table entry");
-  erase_holder(*entry, txn);
-  std::uint32_t* held_slot = held_index_.find(txn);
-  HLS_ASSERT(held_slot != nullptr, "release: txn holds nothing");
-  const std::uint32_t slot = *held_slot;
-  auto& vec = held_pool_[slot];
+  const std::size_t at = table_index_.position(lock);
+  HLS_ASSERT(at != kAbsent, "releasing a lock with no table entry");
+  Entry& entry = entry_at(at);
+  erase_holder(entry, txn);
+  const std::size_t held_at = held_index_.position(txn);
+  HLS_ASSERT(held_at != kAbsent, "release: txn holds nothing");
+  auto& vec = held_pool_[held_index_.value_at(held_at)];
   auto pos = std::find(vec.begin(), vec.end(), lock);
   HLS_ASSERT(pos != vec.end(), "release: txn does not hold this lock");
   vec.erase(pos);
   if (vec.empty()) {
-    drop_held(txn, slot);
+    drop_held(held_at);
   }
-  pump_queue(lock, *entry);
-  drop_entry_if_empty(lock);
+  pump_queue(lock, entry);
+  drop_if_drained(at);
 }
 
 void LockManager::release_all(TxnId txn) {
   cancel_waits(txn);
-  std::uint32_t* held_slot = held_index_.find(txn);
-  if (held_slot == nullptr) {
+  const std::size_t held_at = held_index_.position(txn);
+  if (held_at == kAbsent) {
     return;
   }
   // Copy into the scratch before dropping: pump_queue below may grant locks
   // to other transactions, growing held_pool_ and rehashing held_index_.
-  const std::uint32_t slot = *held_slot;
-  release_scratch_.assign(held_pool_[slot].begin(), held_pool_[slot].end());
-  drop_held(txn, slot);
+  const auto& held = held_pool_[held_index_.value_at(held_at)];
+  release_scratch_.assign(held.begin(), held.end());
+  drop_held(held_at);
   for (LockId lock : release_scratch_) {
-    Entry* entry = lookup_entry(lock);
-    HLS_ASSERT(entry != nullptr, "held lock missing from table");
-    erase_holder(*entry, txn);
-    pump_queue(lock, *entry);
-    drop_entry_if_empty(lock);
+    const std::size_t at = table_index_.position(lock);
+    HLS_ASSERT(at != kAbsent, "held lock missing from table");
+    Entry& entry = entry_at(at);
+    erase_holder(entry, txn);
+    pump_queue(lock, entry);
+    drop_if_drained(at);
   }
 }
 
@@ -169,24 +174,26 @@ std::vector<LockId> LockManager::cancel_waits(TxnId txn) {
     return cancelled;
   }
   const LockId lock = *waiting;
-  Entry* entry = lookup_entry(lock);
-  HLS_ASSERT(entry != nullptr, "waiting on a lock with no table entry");
-  auto& queue = entry->queue;
-  for (auto q = queue.begin(); q != queue.end();) {
-    if (q->txn == txn) {
-      q = queue.erase(q);
+  const std::size_t at = table_index_.position(lock);
+  HLS_ASSERT(at != kAbsent, "waiting on a lock with no table entry");
+  Entry& entry = entry_at(at);
+  // One rotation through the queue: every other waiter goes back on the
+  // tail, so their order is kept.
+  for (std::size_t n = entry.queue.size(); n > 0; --n) {
+    Waiter w = entry.queue.pop_front();
+    if (w.txn == txn) {
       --waiters_total_;
       cancelled.push_back(lock);
     } else {
-      ++q;
+      entry.queue.push_back(std::move(w));
     }
   }
   waiting_on_.erase(txn);
   note_waiters();
   // Removing a queued request can unblock the head (e.g. an X request that
   // was queued behind the cancelled one).
-  pump_queue(lock, *entry);
-  drop_entry_if_empty(lock);
+  pump_queue(lock, entry);
+  drop_if_drained(at);
   return cancelled;
 }
 
@@ -230,10 +237,11 @@ LockManager::GrabResult LockManager::grab_for_authentication(TxnId grabber, Lock
                                                              LockMode mode) {
   GrabResult result;
   note_access(lock);
-  Entry& entry = entry_for(lock);
+  const std::size_t at = entry_for(lock);
+  Entry& entry = entry_at(at);
   if (entry.coherence != 0) {
     // In-flight asynchronous update: the central copy is stale, refuse.
-    drop_entry_if_empty(lock);
+    drop_if_drained(at);
     return result;
   }
   result.granted = true;
@@ -257,15 +265,14 @@ LockManager::GrabResult LockManager::grab_for_authentication(TxnId grabber, Lock
       result.aborted.push_back(victim);
       it = entry.holders.erase(it);
       --holds_total_;
-      std::uint32_t* held_slot = held_index_.find(victim);
-      HLS_ASSERT(held_slot != nullptr, "preempted holder not in index");
-      const std::uint32_t slot = *held_slot;
-      auto& vec = held_pool_[slot];
+      const std::size_t held_at = held_index_.position(victim);
+      HLS_ASSERT(held_at != kAbsent, "preempted holder not in index");
+      auto& vec = held_pool_[held_index_.value_at(held_at)];
       auto pos = std::find(vec.begin(), vec.end(), lock);
       HLS_ASSERT(pos != vec.end(), "preempted holder index mismatch");
       vec.erase(pos);
       if (vec.empty()) {
-        drop_held(victim, slot);
+        drop_held(held_at);
       }
     } else {
       ++it;
@@ -284,7 +291,7 @@ LockManager::GrabResult LockManager::grab_for_authentication(TxnId grabber, Lock
 }
 
 void LockManager::increment_coherence(LockId lock) {
-  Entry& entry = entry_for(lock);
+  Entry& entry = entry_at(entry_for(lock));
   if (entry.coherence == 0) {
     ++coherence_nonzero_;
   }
@@ -292,13 +299,14 @@ void LockManager::increment_coherence(LockId lock) {
 }
 
 void LockManager::decrement_coherence(LockId lock) {
-  Entry* entry = lookup_entry(lock);
-  HLS_ASSERT(entry != nullptr && entry->coherence > 0,
+  const std::size_t at = table_index_.position(lock);
+  HLS_ASSERT(at != kAbsent && entry_at(at).coherence > 0,
              "coherence count underflow");
-  --entry->coherence;
-  if (entry->coherence == 0) {
+  Entry& entry = entry_at(at);
+  --entry.coherence;
+  if (entry.coherence == 0) {
     --coherence_nonzero_;
-    drop_entry_if_empty(lock);
+    drop_if_drained(at);
   }
 }
 
@@ -329,12 +337,11 @@ void LockManager::pump_queue(LockId lock, Entry& entry) {
     waiting_on_.erase(head.txn);
     --waiters_total_;
     note_waiters();
-    GrantCallback cb = std::move(head.on_grant);
-    entry.queue.pop_front();
-    if (cb) {
+    Waiter granted = entry.queue.pop_front();
+    if (granted.on_grant) {
       // Dispatch through the simulator so release paths cannot reenter
       // transaction logic synchronously.
-      sim_.schedule_after(0.0, std::move(cb));
+      sim_.schedule_after(0.0, std::move(granted.on_grant));
     }
   }
 }
@@ -397,11 +404,12 @@ void LockManager::collect_blockers(const Entry& entry, TxnId upto_waiter,
       out.push_back(h.txn);
     }
   }
-  for (const Waiter& w : entry.queue) {
-    if (w.txn == upto_waiter) {
+  for (std::size_t i = 0; i < entry.queue.size(); ++i) {
+    const TxnId t = entry.queue[i].txn;
+    if (t == upto_waiter) {
       break;
     }
-    out.push_back(w.txn);
+    out.push_back(t);
   }
 }
 
@@ -413,18 +421,15 @@ void LockManager::erase_holder(Entry& entry, TxnId txn) {
   --holds_total_;
 }
 
-void LockManager::drop_entry_if_empty(LockId lock) {
-  std::uint32_t* slot = table_index_.find(lock);
-  if (slot == nullptr) {
-    return;
-  }
-  Entry& entry = entry_pool_[*slot];
+void LockManager::drop_if_drained(std::size_t index_pos) {
+  const std::uint32_t slot = table_index_.value_at(index_pos);
+  const Entry& entry = entry_pool_[slot];
   if (entry.holders.empty() && entry.queue.empty() && entry.coherence == 0) {
     // The drained entry goes back to the pool as-is: its holders vector and
-    // wait deque keep their capacity for the next lock of this entity (or
+    // wait ring keep their capacity for the next lock of this entity (or
     // any other), so steady-state locking allocates nothing.
-    free_entries_.push_back(*slot);
-    table_index_.erase(lock);
+    free_entries_.push_back(slot);
+    table_index_.erase_at(index_pos);
   }
 }
 
@@ -446,13 +451,16 @@ void LockManager::check_invariants() const {
         ++exclusive;
       }
       HLS_ASSERT(holds(h.txn, lock), "holder missing from index");
+      HLS_ASSERT(std::count_if(entry.holders.begin(), entry.holders.end(),
+                               [&h](const Holder& o) { return o.txn == h.txn; }) == 1,
+                 "transaction holds one lock twice");
     }
     HLS_ASSERT(exclusive <= 1, "multiple exclusive holders");
     if (exclusive == 1) {
       HLS_ASSERT(entry.holders.size() == 1, "exclusive holder is not alone");
     }
-    for (const Waiter& w : entry.queue) {
-      const LockId* waits_on = waiting_on_.find(w.txn);
+    for (std::size_t i = 0; i < entry.queue.size(); ++i) {
+      const LockId* waits_on = waiting_on_.find(entry.queue[i].txn);
       HLS_ASSERT(waits_on != nullptr && *waits_on == lock,
                  "waiter not registered in waiting_on_");
     }
@@ -460,9 +468,23 @@ void LockManager::check_invariants() const {
   HLS_ASSERT(holds_count == holds_total_, "holds_total_ out of sync");
   HLS_ASSERT(waits == waiters_total_, "waiters_total_ out of sync");
   HLS_ASSERT(coherent == coherence_nonzero_, "coherence_nonzero_ out of sync");
+  // The held index names each hold once, and every hold it names is a
+  // holder in the table: with the equal totals, holders and the index
+  // match one to one, which request() relies on when its holder scan
+  // stands in for holds().
   std::size_t index_holds = 0;
-  held_index_.for_each([&](TxnId, std::uint32_t slot) {
-    index_holds += held_pool_[slot].size();
+  held_index_.for_each([&](TxnId txn, std::uint32_t slot) {
+    const std::vector<LockId>& locks = held_pool_[slot];
+    index_holds += locks.size();
+    for (const LockId lock : locks) {
+      HLS_ASSERT(std::count(locks.begin(), locks.end(), lock) == 1,
+                 "held index names one lock twice");
+      const Entry* entry = lookup_entry(lock);
+      HLS_ASSERT(entry != nullptr &&
+                     std::any_of(entry->holders.begin(), entry->holders.end(),
+                                 [txn](const Holder& h) { return h.txn == txn; }),
+                 "held index names a lock its transaction does not hold");
+    }
   });
   HLS_ASSERT(index_holds == holds_total_, "held_index_ out of sync");
   if (wait_telemetry_) {

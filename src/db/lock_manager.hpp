@@ -32,6 +32,7 @@
 #include "db/lock_types.hpp"
 #include "sim/simulator.hpp"
 #include "util/flat_map.hpp"
+#include "util/ring.hpp"
 #include "util/stats.hpp"
 #include "util/unique_function.hpp"
 
@@ -193,7 +194,7 @@ class LockManager {
   };
   struct Entry {
     std::vector<Holder> holders;
-    std::deque<Waiter> queue;
+    Ring<Waiter> queue;
     std::uint32_t coherence = 0;
   };
 
@@ -208,13 +209,7 @@ class LockManager {
                         std::vector<TxnId>& out) const;
 
   void erase_holder(Entry& entry, TxnId txn);
-  void drop_entry_if_empty(LockId lock);
 
-  /// Find-or-create: the entry for `lock`, recycling a pooled Entry (with
-  /// the capacity of its holders vector and wait deque intact) on creation.
-  /// The reference is stable until the entry is dropped — entries live in
-  /// entry_pool_, which only other entry creations can grow, and no caller
-  /// holds one reference across creating another entry.
   /// Mirrors waiters_total_ into the time-weighted gauge; call after every
   /// mutation of the counter. A single branch when telemetry is off.
   void note_waiters() {
@@ -235,13 +230,29 @@ class LockManager {
     }
   }
 
-  Entry& entry_for(LockId lock);
-  [[nodiscard]] Entry* lookup_entry(LockId lock);
+  // Each operation probes the lock table once: it keeps the position of
+  // the lock's table_index_ slot (see util/flat_map.hpp), which no step in
+  // between changes — only entry creation inserts and only drop_if_drained
+  // erases — and reaches the entry and, at the end, drop_if_drained
+  // through it.
+
+  /// Find-or-create: the table_index_ position of `lock`'s entry, recycling
+  /// a pooled Entry (with the capacity of its holders vector and wait ring
+  /// intact) on creation. Entries live in entry_pool_, a deque, so entry
+  /// references survive the pool's growth.
+  std::size_t entry_for(LockId lock);
+  [[nodiscard]] Entry& entry_at(std::size_t index_pos) {
+    return entry_pool_[table_index_.value_at(index_pos)];
+  }
   [[nodiscard]] const Entry* lookup_entry(LockId lock) const;
-  /// Find-or-create: the held-lock list for `txn`, pooled like entry_for.
+  /// Returns the entry at `index_pos` to the pool once it has no holders,
+  /// no waiters and a zero coherence count.
+  void drop_if_drained(std::size_t index_pos);
+  /// Find-or-create: the held-lock list for `txn`, pooled like entries.
   std::vector<LockId>& held_for(TxnId txn);
-  /// Returns `txn`'s (empty) held-lock list to the pool.
-  void drop_held(TxnId txn, std::uint32_t slot);
+  /// Returns the (empty) held-lock list at held_index_ position
+  /// `index_pos` to the pool.
+  void drop_held(std::size_t index_pos);
 
   /// Empty-slot sentinel for the lock-id index: lockspace ids are indices
   /// into a table of config.lockspace (< 2^32) entities, so the all-ones id

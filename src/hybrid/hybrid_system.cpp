@@ -432,8 +432,7 @@ void HybridSystem::receive(int site, bool down, std::uint64_t seq) {
   // synchronously (deliveries only come from scheduled link events), so the
   // loop cannot re-enter.
   while (!q.sent.empty() && q.sent.front().arrived) {
-    QueuedMsg msg = std::move(q.sent.front());
-    q.sent.pop_front();
+    QueuedMsg msg = q.sent.pop_front();
     ++q.processed;
     process(down ? site : -1, std::move(msg));
   }
@@ -1049,7 +1048,7 @@ void HybridSystem::central_begin_auth(Transaction* txn) {
   // Send the lock list to every master site of the data locked; for shipped
   // class A transactions that is just the home site.
   ++metrics_.auth_rounds;
-  const std::vector<int> involved = master_sites(*txn);
+  const std::vector<int>& involved = master_sites(*txn);
   HLS_ASSERT(!involved.empty(), "authentication with no involved sites");
   txn->auth_pending_acks = static_cast<int>(involved.size());
   txn->auth_any_negative = false;
@@ -1059,32 +1058,35 @@ void HybridSystem::central_begin_auth(Transaction* txn) {
   txn->phases.pending = obs::Phase::Auth;
 
   for (int site : involved) {
-    std::vector<LockNeed> needs;
-    for (const LockNeed& need : txn->locks) {
-      if (cfg_.owner_site(need.id) == site) {
-        needs.push_back(need);
-      }
-    }
-    send_down(site, [this, site, id = txn->id, epoch = txn->epoch,
-                     needs = std::move(needs)]() mutable {
-      local_process_auth(site, id, epoch, std::move(needs));
+    send_down(site, [this, site, id = txn->id, epoch = txn->epoch] {
+      local_process_auth(site, id, epoch);
     });
   }
 }
 
-void HybridSystem::local_process_auth(int site, TxnId txn_id, std::uint64_t epoch,
-                                      std::vector<LockNeed> needs) {
+void HybridSystem::local_process_auth(int site, TxnId txn_id, std::uint64_t epoch) {
   // Authentication processing consumes home-site CPU before the checks run.
   sites_[site].cpu->submit(
       cfg_.site_cpu_seconds(site, cfg_.instr_auth_local),
-      [this, site, txn_id, epoch, needs = std::move(needs)] {
-        if (find(txn_id, epoch) == nullptr) {
+      [this, site, txn_id, epoch] {
+        const Transaction* requester = find(txn_id, epoch);
+        if (requester == nullptr) {
           // Requester reclaimed (ship timeout / crash) while this request
           // was queued: don't grab locks on behalf of a dead auth round.
           // Unreachable in fault-free runs — a transaction always collects
           // the full ack set before its epoch can change.
           return;
         }
+        // The locks this site masters, in access order with repeats: the
+        // access pattern is fixed at generation, so the live run's list is
+        // the one the round was sent for.
+        auth_needs_.clear();
+        for (const LockNeed& need : requester->locks) {
+          if (cfg_.owner_site(need.id) == site) {
+            auth_needs_.push_back(need);
+          }
+        }
+        const std::vector<LockNeed>& needs = auth_needs_;
         LockManager& lm = *sites_[site].locks;
 
         // Refuse when any requested entity has in-flight asynchronous
@@ -1137,7 +1139,6 @@ void HybridSystem::local_process_auth(int site, TxnId txn_id, std::uint64_t epoc
 
         bool granted = false;
         if (!refuse) {
-          Transaction* requester = find(txn_id, epoch);
           for (const LockNeed& need : needs) {
             auto grab = lm.grab_for_authentication(txn_id, need.id, need.mode);
             HLS_ASSERT(grab.granted, "auth grab refused after precheck");
@@ -1147,8 +1148,7 @@ void HybridSystem::local_process_auth(int site, TxnId txn_id, std::uint64_t epoc
               held->marked_abort = true;
               // The authenticating transaction preempted this local holder.
               held->marked_by = txn_id;
-              held->marked_by_site =
-                  requester != nullptr ? requester->home_site : -2;
+              held->marked_by_site = requester->home_site;
             }
           }
           granted = true;
@@ -1231,15 +1231,16 @@ void HybridSystem::release_site_locks(int site, TxnId id) {
       [this, site, id] { sites_[site].locks->release_all(id); });
 }
 
-std::vector<int> HybridSystem::master_sites(const Transaction& txn) const {
-  std::vector<int> sites;
+const std::vector<int>& HybridSystem::master_sites(const Transaction& txn) {
+  master_sites_.clear();
   for (const LockNeed& need : txn.locks) {
     const int owner = cfg_.owner_site(need.id);
-    if (std::find(sites.begin(), sites.end(), owner) == sites.end()) {
-      sites.push_back(owner);
+    if (std::find(master_sites_.begin(), master_sites_.end(), owner) ==
+        master_sites_.end()) {
+      master_sites_.push_back(owner);
     }
   }
-  return sites;
+  return master_sites_;
 }
 
 // --------------------------------------------------------------------------

@@ -54,7 +54,6 @@
 // all I/O is skipped, and surviving locks are kept (per §3.1).
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -72,6 +71,7 @@
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 #include "util/random.hpp"
+#include "util/ring.hpp"
 #include "workload/arrivals.hpp"
 #include "workload/txn_factory.hpp"
 
@@ -251,7 +251,7 @@ class HybridSystem {
   /// byte-identical; under message-level chaos the queue is what makes the
   /// handlers run exactly once and in order.
   struct InOrderQueue {
-    std::deque<QueuedMsg> sent;
+    Ring<QueuedMsg> sent;
     std::uint64_t processed = 0;  ///< sequence number of sent.front()
   };
 
@@ -427,10 +427,13 @@ class HybridSystem {
   void rfc_send_up(Transaction* txn, double instructions, obs::Phase phase,
                    Step next);
   void rfc_send_reply(Transaction* txn);
-  /// The distinct master sites of `txn`'s locks, in access order.
-  [[nodiscard]] std::vector<int> master_sites(const Transaction& txn) const;
-  void local_process_auth(int site, TxnId txn_id, std::uint64_t epoch,
-                          std::vector<LockNeed> needs);
+  /// The distinct master sites of `txn`'s locks, in access order, in a
+  /// buffer reused by the next call (no caller re-enters it).
+  const std::vector<int>& master_sites(const Transaction& txn);
+  /// Master site `site`'s half of an authentication round: after one
+  /// instr_auth_local burst, checks and grabs the locks of the requester's
+  /// access pattern that `site` masters, then acks.
+  void local_process_auth(int site, TxnId txn_id, std::uint64_t epoch);
   void central_auth_ack(TxnId txn_id, std::uint64_t epoch, int site, bool positive,
                         bool granted, TxnId blocker, int blocker_site);
   void central_auth_done(Transaction* txn);
@@ -529,6 +532,10 @@ class HybridSystem {
   unsigned sink_mask_ = 0;  ///< union of registered sinks' kind masks
   std::vector<obs::SampleRow> series_;
   TxnArena arena_;
+  // Working buffers of the authentication round, reused so a round
+  // allocates nothing: master_sites' result and one site's lock list.
+  std::vector<int> master_sites_;
+  std::vector<LockNeed> auth_needs_;
   AdaptiveController* controller_ = nullptr;  ///< borrowed from strategy_
   double adapt_interval_ = 0.0;  ///< resolved review cadence; 0 = inert
   bool arrivals_enabled_ = false;

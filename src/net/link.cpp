@@ -55,8 +55,7 @@ void Link::dispatch(Deliver deliver) {
     last_delivery_time_ = fifo_at;
     flight_.push_back(std::move(deliver));
     sim_.schedule_at(fifo_at, [this] {
-      Deliver cb = std::move(flight_.front());
-      flight_.pop_front();
+      Deliver cb = flight_.pop_front();
       ++delivered_;
       note_flight();
       cb();

@@ -37,12 +37,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "sim/simulator.hpp"
 #include "util/random.hpp"
+#include "util/ring.hpp"
 #include "util/stats.hpp"
 #include "util/unique_function.hpp"
 
@@ -183,7 +183,7 @@ class Link {
   /// scheduled event needs no capture beyond `this`. Chaos deliveries
   /// (duplicates, stragglers) bypass this queue: they are scheduled as
   /// standalone events carrying their own continuation.
-  std::deque<Deliver> flight_;
+  Ring<Deliver> flight_;
   Rng fault_rng_;              ///< consumed only when a fault probability > 0
   bool flight_telemetry_ = false;
   TimeWeightedStat flight_tw_;

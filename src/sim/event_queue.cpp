@@ -44,22 +44,23 @@ std::uint32_t EventQueue::allocate_slot() {
     slots_.emplace_back();
   }
   Slot& s = slots_[slot];
-  HLS_ASSERT(s.state == SlotState::Free, "allocating a non-free event slot");
+  HLS_ASSERT(!s.live, "allocating a live event slot");
   ++s.generation;  // invalidates every id issued for previous occupants
-  s.state = SlotState::Live;
+  s.live = true;
   return slot;
 }
 
 void EventQueue::free_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.callback = Callback{};
-  s.state = SlotState::Free;
+  s.live = false;
   free_slots_.push_back(slot);
 }
 
 EventId EventQueue::push(SimTime time, Callback&& callback) {
   const std::uint32_t slot = allocate_slot();
   slots_[slot].callback = std::move(callback);
+  slots_[slot].time = time;
   const std::uint64_t day = day_of(time);
   std::vector<Entry>& bucket = buckets_[day & bucket_mask_];
   bucket.push_back(Entry{time, next_seq_++, slot});
@@ -85,22 +86,29 @@ bool EventQueue::cancel(EventId id) {
     return false;
   }
   const std::uint32_t slot = static_cast<std::uint32_t>(slot_plus_one - 1);
-  Slot& s = slots_[slot];
+  const Slot& s = slots_[slot];
   const std::uint32_t generation = static_cast<std::uint32_t>(id);
-  if (s.generation != generation || s.state != SlotState::Live) {
+  if (s.generation != generation || !s.live) {
     return false;  // already fired, already cancelled, or a reused slot
   }
-  s.state = SlotState::Cancelled;  // entry stays bucketed; reaped on scan
-  s.callback = Callback{};         // release captures eagerly
+  // The entry sits in the bucket its time maps to (push and rebuild place
+  // every entry by day_of under the current width and mask).
+  const std::size_t b = day_of(s.time) & bucket_mask_;
+  std::vector<Entry>& bucket = buckets_[b];
+  std::size_t pos = 0;
+  while (pos < bucket.size() && bucket[pos].slot != slot) {
+    ++pos;
+  }
+  HLS_ASSERT(pos < bucket.size(), "cancelled event missing from its bucket");
+  bucket[pos] = bucket.back();
+  bucket.pop_back();
+  if (min_valid_ && min_bucket_ == b) {
+    min_valid_ = false;  // the cached entry was removed or moved
+  }
+  free_slot(slot);
   HLS_ASSERT(live_ > 0, "live event count underflow");
   --live_;
-  ++dead_;
-  if (min_valid_ && buckets_[min_bucket_][min_pos_].slot == slot) {
-    min_valid_ = false;
-  }
-  if (dead_ > 64 && dead_ > live_) {
-    rebuild(buckets_.size());  // cancel-heavy phase: purge the corpses
-  }
+  shrink_if_sparse();
   return true;
 }
 
@@ -127,40 +135,37 @@ EventQueue::Popped EventQueue::pop() {
   const EventId id = encode_id(e.slot, slots_[e.slot].generation);
   Popped out{e.time, id, std::move(slots_[e.slot].callback)};
   free_slot(e.slot);
-  if (buckets_.size() > kMinBuckets && live_ < buckets_.size() / 8) {
-    rebuild(std::max(kMinBuckets, std::bit_ceil(2 * live_)));
-  }
+  shrink_if_sparse();
   return out;
 }
 
+void EventQueue::shrink_if_sparse() {
+  if (buckets_.size() > kMinBuckets && live_ < buckets_.size() / 8) {
+    rebuild(std::max(kMinBuckets, std::bit_ceil(2 * live_)));
+  }
+}
+
 void EventQueue::locate_min() {
-  // One calendar year: step day by day from the scan floor. The first day
-  // holding a current-day entry holds the global minimum, because day_of is
-  // monotone in time; within the day the full (time, seq) key decides.
+  // One calendar year: step day by day from the scan floor. A bucket holds
+  // entries of its day and of later years, and day_of is monotone in time,
+  // so an entry of the current day precedes every later-year entry in the
+  // bucket: the bucket's (time, seq) minimum is the day's minimum when it
+  // lies on this day, and the day is empty otherwise. The first day found
+  // holds the global minimum.
   const std::size_t nbuckets = buckets_.size();
   std::uint64_t day = cur_day_;
   for (std::size_t step = 0; step < nbuckets; ++step, ++day) {
-    std::vector<Entry>& bucket = buckets_[day & bucket_mask_];
-    std::size_t best = kNone;
-    std::size_t i = 0;
-    while (i < bucket.size()) {
-      const Entry& e = bucket[i];
-      if (slots_[e.slot].state == SlotState::Cancelled) {
-        free_slot(e.slot);
-        --dead_;
-        if (best == bucket.size() - 1) {
-          best = i;  // the survivor about to be swapped into position i
-        }
-        bucket[i] = bucket.back();
-        bucket.pop_back();
-        continue;  // re-examine the swapped-in entry
-      }
-      if (day_of(e.time) == day && (best == kNone || before(e, bucket[best]))) {
+    const std::vector<Entry>& bucket = buckets_[day & bucket_mask_];
+    if (bucket.empty()) {
+      continue;
+    }
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < bucket.size(); ++i) {
+      if (before(bucket[i], bucket[best])) {
         best = i;
       }
-      ++i;
     }
-    if (best != kNone) {
+    if (day_of(bucket[best].time) == day) {
       cur_day_ = day;
       min_bucket_ = day & bucket_mask_;
       min_pos_ = best;
@@ -175,28 +180,15 @@ void EventQueue::locate_min() {
   std::size_t best_bucket = kNone;
   std::size_t best_pos = 0;
   for (std::size_t b = 0; b < nbuckets; ++b) {
-    std::vector<Entry>& bucket = buckets_[b];
-    std::size_t i = 0;
-    while (i < bucket.size()) {
-      const Entry& e = bucket[i];
-      if (slots_[e.slot].state == SlotState::Cancelled) {
-        free_slot(e.slot);
-        --dead_;
-        if (best_bucket == b && best_pos == bucket.size() - 1) {
-          best_pos = i;
-        }
-        bucket[i] = bucket.back();
-        bucket.pop_back();
-        continue;
-      }
-      if (best_bucket == kNone || before(e, buckets_[best_bucket][best_pos])) {
+    const std::vector<Entry>& bucket = buckets_[b];
+    for (std::size_t i = 0; i < bucket.size(); ++i) {
+      if (best_bucket == kNone || before(bucket[i], buckets_[best_bucket][best_pos])) {
         best_bucket = b;
         best_pos = i;
       }
-      ++i;
     }
   }
-  HLS_ASSERT(best_bucket != kNone, "locate_min() found no live event");
+  HLS_ASSERT(best_bucket != kNone, "locate_min() found no event");
   cur_day_ = day_of(buckets_[best_bucket][best_pos].time);
   min_bucket_ = best_bucket;
   min_pos_ = best_pos;
@@ -209,10 +201,6 @@ void EventQueue::rebuild(std::size_t nbuckets) {
   SimTime max_t = 0.0;
   for (std::vector<Entry>& bucket : buckets_) {
     for (const Entry& e : bucket) {
-      if (slots_[e.slot].state == SlotState::Cancelled) {
-        free_slot(e.slot);
-        continue;
-      }
       if (scratch_.empty()) {
         min_t = max_t = e.time;
       } else {
@@ -223,7 +211,6 @@ void EventQueue::rebuild(std::size_t nbuckets) {
     }
     bucket.clear();
   }
-  dead_ = 0;
 
   // Re-estimate the bucket width as twice the typical inter-event gap: the
   // exact median of the positive adjacent gaps over the whole sorted

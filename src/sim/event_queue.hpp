@@ -10,13 +10,15 @@
 // compares the full (time, seq) key, so firing order is exactly the total
 // order the heap produced, independent of bucket geometry.
 //
-// Cancellation is lazy, tracked in a slot table: an EventId encodes
-// (slot, generation), so push, cancel, and the cancelled check on scan are
-// all O(1) array accesses with no hashing. A slot is reused (with a bumped
-// generation) once its event fires or its cancelled entry is reaped, so
-// stale ids are rejected exactly. Callbacks are move-only UniqueFunctions
-// parked in the slot table; bucket entries are 24-byte PODs, so resizing
-// and scanning never move a closure.
+// Events live in a slot table: an EventId encodes (slot, generation), and
+// a slot is reused with a bumped generation once its event fires or is
+// cancelled, so stale ids are rejected exactly. Cancellation is eager: the
+// slot records its event's time, which names the one bucket holding the
+// entry (a handful of entries), and cancel swap-removes it there. Every
+// bucketed entry is therefore live, and scans never consult the slot
+// table. Callbacks are move-only UniqueFunctions parked in the slot table;
+// bucket entries are 24-byte PODs, so resizing and scanning never move a
+// closure.
 #pragma once
 
 #include <cstddef>
@@ -38,19 +40,19 @@ class EventQueue {
   /// usable with cancel().
   EventId push(SimTime time, Callback&& callback);
 
-  /// Marks an event cancelled. Returns false if the event already fired,
-  /// was already cancelled, or never existed.
+  /// Removes a pending event and releases its callback. Returns false if
+  /// the event already fired, was already cancelled, or never existed.
   bool cancel(EventId id);
 
-  /// True when no live (non-cancelled) events remain.
+  /// True when no events are pending.
   [[nodiscard]] bool empty() const { return live_ == 0; }
 
   [[nodiscard]] std::size_t size() const { return live_; }
 
-  /// Timestamp of the earliest live event; must not be called when empty.
+  /// Timestamp of the earliest event; must not be called when empty.
   [[nodiscard]] SimTime next_time();
 
-  /// Removes and returns the earliest live event. Must not be called when
+  /// Removes and returns the earliest event. Must not be called when
   /// empty. The returned callback is ready to invoke.
   struct Popped {
     SimTime time;
@@ -68,12 +70,11 @@ class EventQueue {
     std::uint32_t slot;
   };
 
-  enum class SlotState : std::uint8_t { Free, Live, Cancelled };
-
   struct Slot {
     Callback callback;
+    SimTime time = 0.0;            // the pending event's, to find its bucket
     std::uint32_t generation = 0;  // bumped on every allocation
-    SlotState state = SlotState::Free;
+    bool live = false;             // an event is pending in this slot
   };
 
   static constexpr std::size_t kMinBuckets = 8;
@@ -102,22 +103,22 @@ class EventQueue {
 
   std::uint32_t allocate_slot();
   void free_slot(std::uint32_t slot);
-  /// Finds the earliest live entry and caches its position; requires
-  /// live_ > 0. Reaps cancelled entries encountered on the way.
+  /// Halves the calendar (or more) once it is mostly empty buckets.
+  void shrink_if_sparse();
+  /// Finds the earliest entry and caches its position; requires live_ > 0.
   void locate_min();
-  /// Rebuckets every live entry into `nbuckets` buckets with a bucket
-  /// width re-estimated from the live population, purging cancelled
-  /// entries.
+  /// Rebuckets every entry into `nbuckets` buckets with a bucket width
+  /// re-estimated from the pending population.
   void rebuild(std::size_t nbuckets);
 
   std::vector<std::vector<Entry>> buckets_;
   std::size_t bucket_mask_;      // buckets_.size() - 1 (power of two)
   double width_ = 1.0;           // seconds per bucket
   double inv_width_ = 1.0;       // 1 / width_, the only form used in day_of
-  std::uint64_t cur_day_ = 0;    // scan floor: no live entry on an earlier day
+  std::uint64_t cur_day_ = 0;    // scan floor: no entry on an earlier day
 
-  // Cached position of the earliest live entry, so next_time() + pop()
-  // costs one scan. Push keeps it fresh; cancel of the cached slot drops it.
+  // Cached position of the earliest entry, so next_time() + pop() costs one
+  // scan. Push keeps it fresh; a cancel in the cached bucket drops it.
   bool min_valid_ = false;
   std::size_t min_bucket_ = 0;
   std::size_t min_pos_ = 0;
@@ -127,8 +128,7 @@ class EventQueue {
   std::vector<Entry> scratch_;        // rebuild staging, kept to reuse capacity
   std::vector<double> times_scratch_;  // width estimation staging, ditto
   std::uint64_t next_seq_ = 0;
-  std::size_t live_ = 0;
-  std::size_t dead_ = 0;  // cancelled entries still bucketed
+  std::size_t live_ = 0;  // pending events, one bucket entry each
 };
 
 }  // namespace hls

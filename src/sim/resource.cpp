@@ -13,7 +13,7 @@ FcfsResource::FcfsResource(Simulator& sim, std::string name)
 
 void FcfsResource::submit(double service_time, Callback on_complete) {
   HLS_ASSERT(service_time >= 0.0, "negative CPU service time");
-  queue_.emplace_back(service_time, std::move(on_complete), sim_.now());
+  queue_.push_back(Job{service_time, std::move(on_complete), sim_.now()});
   if (queue_.size() == 1) {
     start_front();
   }
@@ -27,20 +27,18 @@ void FcfsResource::start_front() {
 
 void FcfsResource::on_service_complete() {
   HLS_ASSERT(!queue_.empty(), "completion without a job in service");
-  Job& job = queue_.front();
-  Callback done = std::move(job.on_complete);
+  Job job = queue_.pop_front();
   ++completed_;
   busy_seconds_ += job.service_time;
   sojourn_seconds_ += sim_.now() - job.submitted;
-  queue_.pop_front();
   if (!queue_.empty()) {
     start_front();
   }
   record_state();
   // Invoke the completion after starting the next job so that work the
   // callback submits queues behind already-waiting jobs (strict FCFS).
-  if (done) {
-    done();
+  if (job.on_complete) {
+    job.on_complete();
   }
 }
 

@@ -9,10 +9,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "sim/simulator.hpp"
+#include "util/ring.hpp"
 #include "util/stats.hpp"
 #include "util/unique_function.hpp"
 
@@ -80,7 +80,7 @@ class FcfsResource {
   Simulator& sim_;
   std::string name_;
   /// The burst in service, if any, at the front; then the waiting ones.
-  std::deque<Job> queue_;
+  Ring<Job> queue_;
   std::uint64_t completed_ = 0;
   double busy_seconds_ = 0.0;
   double sojourn_seconds_ = 0.0;

@@ -12,6 +12,11 @@
 // inserted (asserted). Iteration order is slot order: deterministic for a
 // given operation history, but not meaningful — callers needing a stable
 // processing order must sort what they collect.
+//
+// A caller that looks a key up and may erase it later in the same
+// operation can keep the key's slot position instead of probing twice:
+// position() / insert_position() find it, value_at() and erase_at() use
+// it. A position names the key's slot until the next insert or erase.
 #pragma once
 
 #include <cstddef>
@@ -33,29 +38,39 @@ class FlatMap {
   [[nodiscard]] std::size_t size() const { return count_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }
 
-  /// Pointer to the value for `key`, or nullptr. Invalidated by any insert
-  /// or erase.
-  [[nodiscard]] T* find(Key key) {
+  static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+
+  /// Slot position of `key`, or kAbsent.
+  [[nodiscard]] std::size_t position(Key key) const {
     const std::size_t mask = slots_.size() - 1;
     std::size_t i = hash(key) & mask;
     while (slots_[i].key != empty_) {
       if (slots_[i].key == key) {
-        return &slots_[i].value;
+        return i;
       }
       i = (i + 1) & mask;
     }
-    return nullptr;
+    return kAbsent;
+  }
+
+  /// The value in the slot at `pos`, a position of a present key.
+  [[nodiscard]] T& value_at(std::size_t pos) { return slots_[pos].value; }
+
+  /// Pointer to the value for `key`, or nullptr. Invalidated by any insert
+  /// or erase.
+  [[nodiscard]] T* find(Key key) {
+    const std::size_t pos = position(key);
+    return pos == kAbsent ? nullptr : &slots_[pos].value;
   }
 
   [[nodiscard]] const T* find(Key key) const {
     return const_cast<FlatMap*>(this)->find(key);
   }
 
-  /// Reference to the value for `key`, default-constructing it on first use
-  /// (the unordered_map::operator[] idiom). `inserted`, when non-null, tells
-  /// the caller whether the value is brand new. The reference is invalidated
-  /// by any subsequent insert or erase.
-  T& find_or_insert(Key key, bool* inserted = nullptr) {
+  /// Slot position of `key`, default-constructing its value on first use.
+  /// `inserted`, when non-null, tells the caller whether the value is
+  /// brand new.
+  std::size_t insert_position(Key key, bool* inserted = nullptr) {
     HLS_ASSERT(key != empty_, "FlatMap: inserting the empty-key sentinel");
     if (2 * (count_ + 1) > slots_.size()) {
       grow();
@@ -67,7 +82,7 @@ class FlatMap {
         if (inserted != nullptr) {
           *inserted = false;
         }
-        return slots_[i].value;
+        return i;
       }
       i = (i + 1) & mask;
     }
@@ -77,24 +92,34 @@ class FlatMap {
     if (inserted != nullptr) {
       *inserted = true;
     }
-    return slots_[i].value;
+    return i;
+  }
+
+  /// Reference to the value for `key`, default-constructing it on first use
+  /// (the unordered_map::operator[] idiom). The reference is invalidated by
+  /// any subsequent insert or erase.
+  T& find_or_insert(Key key, bool* inserted = nullptr) {
+    return slots_[insert_position(key, inserted)].value;
   }
 
   /// Removes `key`; returns false when absent.
   bool erase(Key key) {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hash(key) & mask;
-    while (slots_[i].key != key) {
-      if (slots_[i].key == empty_) {
-        return false;
-      }
-      i = (i + 1) & mask;
+    const std::size_t pos = position(key);
+    if (pos == kAbsent) {
+      return false;
     }
+    erase_at(pos);
+    return true;
+  }
+
+  /// Removes the key at `pos`, a position of a present key.
+  void erase_at(std::size_t pos) {
+    const std::size_t mask = slots_.size() - 1;
     // Backward-shift deletion: an entry may fill the hole only if its probe
     // path passes through the hole (cyclically, ideal .. j covers hole);
     // otherwise it would become unreachable from its ideal slot.
-    std::size_t hole = i;
-    std::size_t j = i;
+    std::size_t hole = pos;
+    std::size_t j = pos;
     for (;;) {
       j = (j + 1) & mask;
       if (slots_[j].key == empty_) {
@@ -109,7 +134,6 @@ class FlatMap {
     slots_[hole].key = empty_;
     slots_[hole].value = T{};
     --count_;
-    return true;
   }
 
   /// Visits (key, value) pairs in slot order (see header comment).

@@ -7,6 +7,7 @@
 // shrinker must isolate that window.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -170,6 +171,18 @@ TEST(Chaos, GeneratedEpisodeReproRoundTrips) {
   EXPECT_TRUE(verdict.passed());
   // The repro replays the episode itself, not a rounded neighbour of it.
   EXPECT_EQ(verdict.fingerprint, run_chaos_once(e).fingerprint);
+}
+
+TEST(Chaos, EpisodeCountsParseWholeNumbersInRange) {
+  EXPECT_EQ(parse_chaos_episodes("1"), 1);
+  EXPECT_EQ(parse_chaos_episodes("100"), 100);
+  EXPECT_EQ(parse_chaos_episodes("2147483647"), kMaxChaosEpisodes);
+  // A leading number no longer passes for the whole value: "2x" once ran 2
+  // episodes and "0x2" the default 100, both silently.
+  for (const char* bad : {"2x", "0x2", "0", "", " 3", "3 ", "-1", "+4", "1.5",
+                          "1e3", "2147483648", "18446744073709551616", "abc"}) {
+    EXPECT_EQ(parse_chaos_episodes(bad), std::nullopt) << "'" << bad << "'";
+  }
 }
 
 TEST(Chaos, ParseReproRejectsMissingEnvelope) {

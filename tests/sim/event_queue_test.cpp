@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "util/random.hpp"
@@ -197,7 +198,7 @@ TEST(EventQueue, CancelAllThenFreshPushDrainsClean) {
   }
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
-  // next_time() reaps the whole cancelled prefix to find the live head.
+  // Every cancel removed its entry, so a fresh push is the only event.
   const EventId fresh = q.push(100.0, [] {});
   EXPECT_DOUBLE_EQ(q.next_time(), 100.0);
   const auto popped = q.pop();
@@ -331,6 +332,117 @@ TEST(EventQueue, SeqOrderSurvivesRebuild) {
     ASSERT_EQ(order[i], i);
   }
   EXPECT_TRUE(q.empty());
+}
+
+// ---- eager cancellation: the entry leaves its bucket at once ----
+
+TEST(EventQueue, CancelTheCachedMinimum) {
+  EventQueue q;
+  std::vector<int> order;
+  const EventId first = q.push(1.0, [&] { order.push_back(1); });
+  q.push(2.0, [&] { order.push_back(2); });
+  q.push(1.5, [&] { order.push_back(15); });
+  EXPECT_DOUBLE_EQ(q.next_time(), 1.0);  // caches the minimum's position
+  ASSERT_TRUE(q.cancel(first));
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_DOUBLE_EQ(q.next_time(), 1.5);
+  while (!q.empty()) {
+    q.pop().callback();
+  }
+  EXPECT_EQ(order, (std::vector<int>{15, 2}));
+}
+
+TEST(EventQueue, CancelAnEntrySharingTheMinimumsBucket) {
+  // The default calendar has 8 one-second days: 0.2, 0.4 and 0.6 share day
+  // 0's bucket, and 8.3 shares it a year later. Cancelling 0.4 swap-moves
+  // the bucket's last entry into its place; the cached minimum (0.2) must
+  // not be trusted by position afterwards.
+  EventQueue q;
+  std::vector<int> order;
+  q.push(0.2, [&] { order.push_back(2); });
+  const EventId mid = q.push(0.4, [&] { order.push_back(4); });
+  q.push(0.6, [&] { order.push_back(6); });
+  q.push(8.3, [&] { order.push_back(83); });
+  q.push(3.0, [&] { order.push_back(30); });
+  EXPECT_DOUBLE_EQ(q.next_time(), 0.2);
+  ASSERT_TRUE(q.cancel(mid));
+  EXPECT_FALSE(q.cancel(mid));
+  EXPECT_EQ(q.size(), 4u);
+  EXPECT_DOUBLE_EQ(q.next_time(), 0.2);
+  while (!q.empty()) {
+    q.pop().callback();
+  }
+  EXPECT_EQ(order, (std::vector<int>{2, 6, 30, 83}));
+}
+
+TEST(EventQueue, CancelAfterARebuildChangedTheWidth) {
+  // 40 events 0.01 s apart outgrow the 8-bucket calendar; the rebuild
+  // re-estimates the width from their gaps (0.02 s instead of 1 s), so
+  // every entry now lives in the bucket of its new day. Cancel must look
+  // there (it asserts the entry is found).
+  EventQueue q;
+  std::vector<EventId> ids;
+  std::vector<int> order;
+  for (int i = 0; i < 40; ++i) {
+    ids.push_back(q.push(0.01 * i, [&order, i] { order.push_back(i); }));
+  }
+  std::vector<int> want;
+  for (int i = 0; i < 40; ++i) {
+    if (i % 3 == 1) {
+      ASSERT_TRUE(q.cancel(ids[i]));
+    } else {
+      want.push_back(i);
+    }
+  }
+  EXPECT_EQ(q.size(), want.size());
+  while (!q.empty()) {
+    q.pop().callback();
+  }
+  EXPECT_EQ(order, want);
+}
+
+TEST(EventQueue, CancelReleasesCapturesAtOnce) {
+  EventQueue q;
+  auto token = std::make_shared<int>(7);
+  const EventId id = q.push(5.0, [token] {});
+  q.push(1.0, [] {});
+  EXPECT_EQ(token.use_count(), 2);
+  ASSERT_TRUE(q.cancel(id));
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, SizeStaysExactThroughCancelChurn) {
+  // The timeout pattern at depth: a guard pushed and cancelled per step
+  // while traffic pushes and pops around it, through grows and shrinks.
+  Rng rng(11);
+  EventQueue q;
+  std::size_t expect = 0;
+  for (int i = 0; i < 3000; ++i) {
+    q.push(rng.next_double(), [] {});
+    ++expect;
+  }
+  for (int step = 0; step < 6000; ++step) {
+    const EventId guard = q.push(rng.uniform(0.5, 1.0), [] {});
+    ASSERT_TRUE(q.cancel(guard));
+    if (step % 2 == 0) {
+      q.push(q.next_time() + rng.next_double(), [] {});
+      ++expect;
+    }
+    q.pop();
+    --expect;
+    ASSERT_EQ(q.size(), expect);
+    if (expect == 0) {
+      break;
+    }
+  }
+  double last = -1.0;
+  while (!q.empty()) {
+    const SimTime t = q.pop().time;
+    ASSERT_GE(t, last);
+    last = t;
+    --expect;
+  }
+  EXPECT_EQ(expect, 0u);
 }
 
 }  // namespace

@@ -72,6 +72,47 @@ TEST(FcfsResource, CompletionSubmittedWorkQueuesBehindWaiters) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
+TEST(FcfsResource, FifoOrderSurvivesQueueGrowthWhileWrapped) {
+  // The queue is a ring with room for 4 jobs at first. Finishing two of
+  // four jobs and submitting more wraps it, and the fifth waiting job grows
+  // it while wrapped (then once more). Service order, completion times and
+  // queue_length() must not notice.
+  Simulator sim;
+  FcfsResource cpu(sim, "cpu");
+  std::vector<int> order;
+  std::vector<double> times;
+  auto submit = [&](int tag) {
+    cpu.submit(1.0, [&, tag] {
+      order.push_back(tag);
+      times.push_back(sim.now());
+    });
+  };
+  for (int i = 0; i < 4; ++i) {
+    submit(i);
+  }
+  sim.run_until(2.0);
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(cpu.queue_length(), 2u);
+  for (int i = 4; i < 9; ++i) {
+    submit(i);
+    EXPECT_EQ(cpu.queue_length(), static_cast<std::size_t>(i - 1));
+  }
+  sim.run_until(3.0);
+  EXPECT_EQ(cpu.queue_length(), 6u);
+  for (int i = 9; i < 14; ++i) {
+    submit(i);
+  }
+  EXPECT_EQ(cpu.queue_length(), 11u);
+  sim.run();
+  EXPECT_EQ(cpu.queue_length(), 0u);
+  ASSERT_EQ(order.size(), 14u);
+  for (int i = 0; i < 14; ++i) {
+    EXPECT_EQ(order[i], i);
+    EXPECT_DOUBLE_EQ(times[i], i + 1.0);  // never idle: back-to-back service
+  }
+  EXPECT_EQ(cpu.completed_bursts(), 14u);
+}
+
 TEST(FcfsResource, UtilizationFractionCorrect) {
   Simulator sim;
   FcfsResource cpu(sim, "cpu");

@@ -10,10 +10,12 @@
 //              [--shrink-out=FILE] [--no-fork]
 //
 // Episode count precedence: --episodes flag, then the HLS_CHAOS_EPISODES
-// environment variable, then 100. Exit status 0 = every episode passed; a
-// bad flag value (a --seed that is not a 64-bit whole number, an
+// environment variable, then 100. Both take a whole number in
+// [1, INT_MAX] (parse_chaos_episodes). Exit status 0 = every episode
+// passed; a bad flag value (a --seed that is not a 64-bit whole number, an
 // --episodes that is not a positive one) is one line naming the flag and
-// the usage status 2.
+// the usage status 2. A bad HLS_CHAOS_EPISODES value is one stderr line
+// naming the variable, and the soak runs as if it were unset.
 //
 // --strategy=SPEC forces every generated episode onto one routing spec
 // (full factory grammar, wrappers included) instead of the generator's
@@ -64,9 +66,13 @@ void usage(const char* argv0) {
 
 bool parse_args(int argc, char** argv, Options* opt) {
   if (const char* env = std::getenv("HLS_CHAOS_EPISODES")) {
-    const int n = std::atoi(env);
-    if (n > 0) {
-      opt->episodes = n;
+    if (const std::optional<int> n = hls::parse_chaos_episodes(env)) {
+      opt->episodes = *n;
+    } else {
+      std::fprintf(stderr,
+                   "chaos_soak: ignoring HLS_CHAOS_EPISODES '%s': not a whole "
+                   "number in [1, %d]\n",
+                   env, hls::kMaxChaosEpisodes);
     }
   }
   for (int i = 1; i < argc; ++i) {
@@ -84,16 +90,15 @@ bool parse_args(int argc, char** argv, Options* opt) {
       }
       opt->seed = *seed;
     } else if (arg.rfind("--episodes=", 0) == 0) {
-      const std::optional<std::uint64_t> n = hls::parse_uint64(arg.substr(11));
-      if (!n.has_value() || *n == 0 ||
-          *n > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+      const std::optional<int> n = hls::parse_chaos_episodes(arg.substr(11));
+      if (!n.has_value()) {
         std::fprintf(stderr,
                      "chaos_soak: bad --episodes value '%s': must be a whole "
                      "number in [1, %d]\n",
-                     arg.c_str() + 11, std::numeric_limits<int>::max());
+                     arg.c_str() + 11, hls::kMaxChaosEpisodes);
         return false;
       }
-      opt->episodes = static_cast<int>(*n);
+      opt->episodes = *n;
     } else if (arg.rfind("--strategy=", 0) == 0) {
       opt->strategy = arg.substr(11);
       std::string error;
