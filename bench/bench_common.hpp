@@ -2,7 +2,7 @@
 //
 // Every bench prints: a banner stating which paper figure it regenerates and
 // what shape to expect, the aligned series table, and a machine-readable CSV
-// copy (lines prefixed "csv,"). Simulation length scales with the
+// copy (lines prefixed `csv,`). Simulation length scales with the
 // HLS_TIME_SCALE environment variable (e.g. 0.2 for a quick smoke run).
 #pragma once
 

@@ -36,8 +36,8 @@ int main() {
   // it starts from T=0 and hill-climbs on observed class-A response time.
   // Each row reports where the controller converged next to which of the
   // hand-swept T columns won at that rate.
-  std::printf("\ncsv,converged_threshold,rate,final_F,decisions,hand_swept_T,"
-              "rt_adaptive,rt_hand_swept\n");
+  Table converged({"converged_threshold", "rate", "final_F", "decisions",
+                   "hand_swept_T", "rt_adaptive", "rt_hand_swept"});
   for (std::size_t r = 0; r < series[0].points.size(); ++r) {
     const double rate = series[0].points[r].total_rate;
     std::size_t best = 0;
@@ -67,9 +67,16 @@ int main() {
     system.check_invariants();
     std::fprintf(stderr, "  [adapt] rate=%.1f tps converged F=%.2f\n", rate,
                  final_f);
-    std::printf("csv,converged_threshold,%.1f,%.2f,%zu,%s,%.3f,%.3f\n", rate,
-                final_f, decisions, series[best].label.c_str(), rt_adaptive,
-                series[best].points[r].result.metrics.rt_all.mean());
+    converged.begin_row()
+        .add_cell("converged_threshold")
+        .add_num(rate, 1)
+        .add_num(final_f, 2)
+        .add_int(static_cast<long long>(decisions))
+        .add_cell(series[best].label)
+        .add_num(rt_adaptive, 3)
+        .add_num(series[best].points[r].result.metrics.rt_all.mean(), 3);
   }
+  std::printf("\n");
+  converged.print_csv(std::cout);
   return 0;
 }

@@ -13,6 +13,7 @@
 //                  a non-negative number is a one-line error, exit status 1
 //   trace.csv      stream the full event trace here (omit or "-" to skip)
 //   trace.json     write the Perfetto span trace here (omit to skip)
+//   A trace path that cannot be opened is a one-line error, exit status 1.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -76,6 +77,10 @@ int main(int argc, char** argv) {
   // sink spec so this example exercises the same path the driver offers
   // library users. Sink 4: the run-report collector rides along.
   if (argc > 3) {
+    if (!std::ofstream(argv[3])) {
+      std::fprintf(stderr, "cannot open %s for writing\n", argv[3]);
+      return 1;
+    }
     cfg.obs_span_sink = std::string("perfetto:") + argv[3];
   }
   ReportCollector collector(cfg.report_top_k);

@@ -202,6 +202,18 @@ check_bad_value 2 --seed tools/chaos_soak --seed=abc
 echo "cli: strategy_explorer --tps=abc/--sites=2.7, quickstart abc/-5," \
   "hlsreport --tol abc and chaos_soak --seed=abc rejected"
 
+# An output path that cannot be opened is user input too: once an
+# HLS_ASSERT abort (exit 134), after the whole run in hlsreport's case. It
+# must be one line naming the path, with hlsreport's I/O status 2 and
+# trace_inspector's 1 (as for its csv path).
+missing_dir="$BUILD/cli_missing_dir"
+rm -rf "$missing_dir"
+HLS_TIME_SCALE=0.05 check_bad_value 2 "$missing_dir/a.json" tools/hlsreport \
+  gen "$missing_dir/a.json"
+check_bad_value 1 "$missing_dir/t.json" examples/trace_inspector 2.2 - \
+  "$missing_dir/t.json"
+echo "cli: hlsreport gen and trace_inspector name an unopenable output path"
+
 # The environment is user input too: HLS_TIME_SCALE=inf once made every
 # window endless. It must run at the default scale (about 0.1 s here), with
 # one stderr line naming the variable.
@@ -237,62 +249,29 @@ echo "cli: HLS_CHAOS_EPISODES=2x rejected with one warning"
 mark trace
 # Span-trace smoke: trace_inspector end to end on its faulted run with the
 # Perfetto exporter attached, then schema-check the JSON (parses, pid/tid/
-# ph/ts present, every B matched by an E). The csv splitter's selftest
-# rides along since it gates the same plotting pipeline.
+# ph/ts present, every B matched by an E).
 trace_json=$(mktemp)
 HLS_TIME_SCALE=0.2 "./$BUILD/examples/trace_inspector" 2.2 - "$trace_json" >/dev/null
 python3 -m json.tool "$trace_json" >/dev/null
 python3 scripts/validate_trace.py "$trace_json"
 rm -f "$trace_json"
-python3 scripts/extract_csv.py --selftest
 echo "trace smoke: perfetto export schema-valid end to end"
 
 mark artifact
 # Run-artifact gate: generate the canonical artifact at the baseline's
 # pinned time scale under two HLS_JOBS values (must be byte-identical),
-# schema- and identity-check it (validate_artifact.py), self-diff to zero
-# deltas, then gate against the committed baseline. After an intended
-# metrics change, re-pin with:
+# self-diff to zero deltas, then gate against the committed baseline. The
+# registry's accounting identities are checked in ctest (artifact_test).
+# After an intended metrics change, re-pin with:
 #   HLS_TIME_SCALE=0.05 ./build/tools/hlsreport gen scripts/artifact_baseline.json
 art_a=$(mktemp) && art_b=$(mktemp)
 HLS_TIME_SCALE=0.05 HLS_JOBS=1 "./$BUILD/tools/hlsreport" gen "$art_a" >/dev/null
 HLS_TIME_SCALE=0.05 HLS_JOBS=4 "./$BUILD/tools/hlsreport" gen "$art_b" >/dev/null
 cmp "$art_a" "$art_b"
-python3 scripts/validate_artifact.py "$art_a"
 "./$BUILD/tools/hlsreport" diff "$art_a" "$art_a" --gate >/dev/null
 "./$BUILD/tools/hlsreport" diff scripts/artifact_baseline.json "$art_a" --gate
 rm -f "$art_a" "$art_b"
-echo "artifact gate: canonical artifact valid, HLS_JOBS-invariant, matches baseline"
-
-mark snapshot
-# Snapshot completeness: the newest committed BENCH_<N>.json must contain
-# data keys for every bench its own _meta.benches lists, so a snapshot
-# regenerated by a script that silently dropped a bench cannot merge. The
-# newest snapshot must also carry full provenance (git_sha, time_scale,
-# hls_jobs) so a measured regression can be traced to the commit and
-# environment that produced the baseline numbers.
-python3 - <<'EOF'
-import glob, json, sys
-
-snaps = sorted(glob.glob("BENCH_*.json"))
-if not snaps:
-    sys.exit("snapshot: no BENCH_*.json at the repo root")
-path = max(snaps, key=lambda p: json.load(open(p)).get("_meta", {}).get("snapshot", -1))
-data = json.load(open(path))
-meta = data.get("_meta", {})
-benches = meta.get("benches", [])
-if not benches:
-    sys.exit(f"snapshot: {path} has no _meta.benches list")
-prefixes = {k.split(".")[0] for k in data if k != "_meta"}
-missing = [b for b in benches if not any(b.startswith(p) for p in prefixes)]
-if missing:
-    sys.exit(f"snapshot: {path} lists benches with no data keys: {missing}")
-missing_meta = [k for k in ("git_sha", "time_scale", "hls_jobs") if k not in meta]
-if missing_meta:
-    sys.exit(f"snapshot: {path} _meta is missing provenance keys: {missing_meta}")
-print(f"snapshot: {path} covers all {len(benches)} _meta benches "
-      f"(git_sha {meta['git_sha']}, scale {meta['time_scale']})")
-EOF
+echo "artifact gate: canonical artifact HLS_JOBS-invariant, matches baseline"
 
 mark perf
 # Release perf smoke: the event kernel must sustain a conservative floor on
@@ -324,7 +303,8 @@ if cmake -B "$ASAN_BUILD" -G Ninja -DHLS_SANITIZE=address -DHLS_WERROR=ON \
       residuals_test dynamic_estimator_test analytic_model_test \
       static_optimizer_test capacity_test msg_chaos_test fault_injection_test \
       trace_test route_range_test event_queue_test resource_test link_test \
-      lock_manager_test lock_differential_test ring_test >/dev/null 2>&1; then
+      lock_manager_test lock_differential_test ring_test artifact_test \
+      driver_test table_test >/dev/null 2>&1; then
   HLS_TIME_SCALE=0.05 "./$ASAN_BUILD/bench/abl_fault_tolerance" >/dev/null
   HLS_TIME_SCALE=0.05 "./$ASAN_BUILD/bench/abl_adaptive_routing" >/dev/null
   # The same fixed-seed soak under asan: chaos episodes walk the dedup /
@@ -381,7 +361,12 @@ if cmake -B "$ASAN_BUILD" -G Ninja -DHLS_SANITIZE=address -DHLS_WERROR=ON \
   "./$ASAN_BUILD/tests/lock_manager_test" >/dev/null
   "./$ASAN_BUILD/tests/lock_differential_test" >/dev/null
   "./$ASAN_BUILD/tests/ring_test" >/dev/null
-  echo "asan: abl_fault_tolerance + adaptive gate + chaos soak + golden/conservation/phase/provenance/adaptive/rfc/deadlock/metrics/model/route-range/msg-chaos/fault/trace/event-queue/resource/link/lock/lock-differential/ring suites clean"
+  # The run artifact's file path and the driver's span sink, including the
+  # paths that cannot be opened, and the table's row checks.
+  "./$ASAN_BUILD/tests/artifact_test" >/dev/null
+  "./$ASAN_BUILD/tests/driver_test" >/dev/null
+  "./$ASAN_BUILD/tests/table_test" >/dev/null
+  echo "asan: abl_fault_tolerance + adaptive gate + chaos soak + golden/conservation/phase/provenance/adaptive/rfc/deadlock/metrics/model/route-range/msg-chaos/fault/trace/event-queue/resource/link/lock/lock-differential/ring/artifact/driver/table suites clean"
 else
   echo "asan: unavailable in this toolchain; skipped"
 fi

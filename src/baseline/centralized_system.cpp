@@ -15,7 +15,7 @@ CentralizedSystem::CentralizedSystem(SystemConfig cfg)
   arrivals_.reserve(cfg_.num_sites);
   for (int s = 0; s < cfg_.num_sites; ++s) {
     arrivals_.push_back(std::make_unique<ArrivalProcess>(
-        sim_, rng_.fork("central.arrivals"), cfg_.arrival_rate_per_site));
+        sim_, rng_.fork(), cfg_.arrival_rate_per_site));  // central.arrivals
   }
 }
 

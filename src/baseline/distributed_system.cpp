@@ -20,7 +20,7 @@ DistributedSystem::DistributedSystem(SystemConfig cfg, DistributedOptions opts)
     sites_[s].cpu = std::make_unique<FcfsResource>(sim_, tag + "-cpu");
     sites_[s].locks = std::make_unique<LockManager>(sim_, tag + "-locks");
     sites_[s].arrivals = std::make_unique<ArrivalProcess>(
-        sim_, rng_.fork("distributed.site-arrivals"), cfg_.arrival_rate_per_site);
+        sim_, rng_.fork(), cfg_.arrival_rate_per_site);  // distributed.site-arrivals
   }
 }
 

@@ -5,7 +5,6 @@
 
 #include "core/driver.hpp"
 #include "obs/registry.hpp"
-#include "util/assert.hpp"
 
 namespace hls {
 
@@ -27,10 +26,13 @@ void write_run_artifact(std::ostream& out, const RunResult& result) {
   out << "}\n";
 }
 
-void write_run_artifact_file(const std::string& path, const RunResult& result) {
+bool write_run_artifact_file(const std::string& path, const RunResult& result) {
   std::ofstream out(path);
-  HLS_ASSERT(out.is_open(), "cannot open obs_artifact path");
+  if (!out) {
+    return false;
+  }
   write_run_artifact(out, result);
+  return static_cast<bool>(out.flush());
 }
 
 }  // namespace hls

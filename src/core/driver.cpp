@@ -46,8 +46,10 @@ RunResult run_simulation(const SystemConfig& config,
     const std::string scheme = config.obs_span_sink.substr(0, colon);
     const std::string path = config.obs_span_sink.substr(colon + 1);
     span_out.open(path);
-    HLS_ASSERT(span_out.is_open(), "cannot open obs_span_sink path");
-    if (scheme == "perfetto") {
+    if (!span_out.is_open()) {
+      HLS_LOG_WARN("obs_span_sink: cannot open '%s'; running without it",
+                   path.c_str());
+    } else if (scheme == "perfetto") {
       perfetto = std::make_unique<obs::PerfettoSink>(span_out);
       system.add_trace_sink(perfetto.get());
     } else {
@@ -67,8 +69,10 @@ RunResult run_simulation(const SystemConfig& config,
     result.controller_decisions = controller->decisions();
   }
   system.export_registry(result.registry);
-  if (!config.obs_artifact.empty()) {
-    write_run_artifact_file(config.obs_artifact, result);
+  if (!config.obs_artifact.empty() &&
+      !write_run_artifact_file(config.obs_artifact, result)) {
+    HLS_LOG_WARN("obs_artifact: cannot write '%s'",
+                 config.obs_artifact.c_str());
   }
   if (perfetto != nullptr) {
     perfetto->close();

@@ -174,7 +174,8 @@ struct SystemConfig {
   /// Span-sink specification for the driver: "" (default, no sink),
   /// "perfetto:PATH" (Chrome trace-event / Perfetto JSON), or "csv:PATH"
   /// (scalar event CSV). Attaching a sink changes emission only, never
-  /// simulated timing.
+  /// simulated timing. A path that cannot be opened is one [WARN] line,
+  /// and the run goes on without the sink.
   std::string obs_span_sink;
 
   /// Span trees listed in the run report's slowest-transactions section.
@@ -197,7 +198,8 @@ struct SystemConfig {
 
   /// When non-empty, `run_simulation` serializes the metric registry as a
   /// canonical JSON run artifact at this path (schema in
-  /// docs/OBSERVABILITY.md; diffed and gated by tools/hlsreport).
+  /// docs/OBSERVABILITY.md; diffed and gated by tools/hlsreport). A path
+  /// that cannot be written is one [WARN] line; the run still returns.
   std::string obs_artifact;
 
   /// Lock ids mastered by site s: [s*partition, (s+1)*partition).

@@ -31,7 +31,7 @@ HybridSystem::HybridSystem(SystemConfig cfg, std::unique_ptr<RoutingStrategy> st
     site.up = std::make_unique<Link>(sim_, cfg_.comm_delay, tag + "-up");
     site.down = std::make_unique<Link>(sim_, cfg_.comm_delay, tag + "-down");
     site.arrivals = std::make_unique<ArrivalProcess>(
-        sim_, rng_.fork("hybrid.site-arrivals"), cfg_.arrival_rate_per_site);
+        sim_, rng_.fork(), cfg_.arrival_rate_per_site);  // hybrid.site-arrivals
   }
 
   metrics_.reset(sim_.now(), cfg_.num_sites);
@@ -48,7 +48,7 @@ HybridSystem::HybridSystem(SystemConfig cfg, std::unique_ptr<RoutingStrategy> st
   // reconstruct it): num_sites arrival forks above, the fault-schedule forks
   // when armed, then this.
   if (cfg_.ship_jitter > 0.0) {
-    ship_jitter_rng_ = rng_.fork("hybrid.ship-jitter");
+    ship_jitter_rng_ = rng_.fork();  // hybrid.ship-jitter
   }
 
   // The time-series sampler follows the same byte-parity rule: with the
@@ -124,7 +124,7 @@ void HybridSystem::set_arrival_rate_function(int site, RateFunction rate,
   HLS_ASSERT(site >= 0 && site < cfg_.num_sites, "site index out of range");
   sites_[site].arrivals =
       std::make_unique<ArrivalProcess>(
-      sim_, rng_.fork("hybrid.arrival-rate-fn"), std::move(rate), max_rate);
+      sim_, rng_.fork(), std::move(rate), max_rate);  // hybrid.arrival-rate-fn
 }
 
 void HybridSystem::stop_arrivals() {
@@ -1310,11 +1310,11 @@ void HybridSystem::rfc_send_reply(Transaction* txn) {
 
 void HybridSystem::schedule_fault_transitions() {
   const FaultSchedule schedule(cfg_.faults, cfg_.num_sites,
-                               rng_.fork("hybrid.fault-schedule"));
-  Rng link_rng = rng_.fork("hybrid.link-faults");
+                               rng_.fork());  // hybrid.fault-schedule
+  Rng link_rng = rng_.fork();  // hybrid.link-faults
   for (SiteState& site : sites_) {
-    site.up->set_fault_rng(link_rng.fork("hybrid.link-up"));
-    site.down->set_fault_rng(link_rng.fork("hybrid.link-down"));
+    site.up->set_fault_rng(link_rng.fork());  // hybrid.link-up
+    site.down->set_fault_rng(link_rng.fork());  // hybrid.link-down
   }
   // Steady-state message chaos applies from t = 0; msg_fault windows
   // override the probabilities while active and their end transitions

@@ -150,7 +150,7 @@ FaultSchedule::FaultSchedule(const FaultScheduleConfig& cfg, int num_sites,
     // One sequential stream per site keeps windows on a link disjoint and the
     // timeline independent of how many other sites fail.
     for (int s = 0; s < num_sites; ++s) {
-      Rng site_rng = rng.fork("fault.site-window");
+      Rng site_rng = rng.fork();  // fault.site-window
       double t = site_rng.exponential(cfg.random_link_outage_rate);
       while (t < cfg.random_horizon) {
         FaultWindow w;

@@ -35,16 +35,10 @@ class Rng {
 
   /// Forks an independent stream: equivalent to seeding a fresh generator
   /// from this stream's output, so child streams do not overlap in practice.
+  /// A child is identified by its place in the parent's fork order, which
+  /// msg_chaos_test and fault_injection_test pin; call sites name it in a
+  /// comment.
   Rng fork();
-
-  /// Forks with a documentation-only stream label: the label names the
-  /// stream for review and for lint (fork-label-unique, which requires the
-  /// labels to be distinct across src/) but never perturbs the draws —
-  /// fork("x") and fork() yield byte-identical streams.
-  Rng fork(const char* label) {
-    (void)label;
-    return fork();
-  }
 
   /// Uniform 64-bit word.
   std::uint64_t next_u64();

@@ -46,7 +46,13 @@ Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {
   HLS_ASSERT(!headers_.empty(), "table needs at least one column");
 }
 
+void Table::assert_last_row_full() const {
+  HLS_ASSERT(rows_.empty() || rows_.back().size() == headers_.size(),
+             "row has fewer cells than headers");
+}
+
 Table& Table::begin_row() {
+  assert_last_row_full();
   rows_.emplace_back();
   rows_.back().reserve(headers_.size());
   return *this;
@@ -66,6 +72,7 @@ Table& Table::add_num(double value, int precision) {
 Table& Table::add_int(long long value) { return add_cell(std::to_string(value)); }
 
 void Table::print(std::ostream& os) const {
+  assert_last_row_full();
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) {
     widths[c] = headers_[c].size();
@@ -77,8 +84,7 @@ void Table::print(std::ostream& os) const {
   }
   auto print_row = [&](const std::vector<std::string>& cells) {
     for (std::size_t c = 0; c < headers_.size(); ++c) {
-      const std::string& cell = c < cells.size() ? cells[c] : std::string{};
-      os << std::setw(static_cast<int>(widths[c])) << cell;
+      os << std::setw(static_cast<int>(widths[c])) << cells[c];
       if (c + 1 < headers_.size()) {
         os << "  ";
       }
@@ -97,6 +103,7 @@ void Table::print(std::ostream& os) const {
 }
 
 void Table::print_csv(std::ostream& os) const {
+  assert_last_row_full();
   auto emit = [&](const std::vector<std::string>& cells) {
     os << "csv";
     for (const auto& cell : cells) {

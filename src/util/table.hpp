@@ -14,7 +14,9 @@ namespace hls {
 
 /// Accumulates rows of string cells and renders them either as an aligned
 /// monospace table or as CSV. Numeric helpers format with fixed precision so
-/// series are comparable across runs.
+/// series are comparable across runs. Every row has one cell per header:
+/// add_cell asserts against a cell too many, and begin_row, print and
+/// print_csv against a last row left short.
 class Table {
  public:
   explicit Table(std::vector<std::string> headers);
@@ -38,6 +40,8 @@ class Table {
   void print_csv(std::ostream& os) const;
 
  private:
+  void assert_last_row_full() const;
+
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };

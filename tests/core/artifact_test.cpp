@@ -1,16 +1,19 @@
 // Run-artifact tests: schema bytes, determinism (same seed => byte-identical
 // serialization), registry population on every run (observation enabled or
-// not), and the obs_artifact config hook writing the file from run_simulation.
+// not), the registry's accounting identities, and the obs_artifact config
+// hook writing the file from run_simulation (or warning when it cannot).
 #include "core/artifact.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "core/driver.hpp"
+#include "obs/phase.hpp"
 #include "obs/registry.hpp"
 #include "routing/basic_strategies.hpp"
 
@@ -85,6 +88,71 @@ TEST(Artifact, TelemetryAddsMetricsWithoutPerturbingTheRest) {
   EXPECT_NE(a.registry.find("central.locks.wait_queue"), nullptr);
 }
 
+// Double entry: every total the registry exports equals the sum of its
+// parts, as exported. A field mapped to the wrong counter or stat in
+// export_registry breaks one of these.
+TEST(Artifact, RegistryAccountingIdentitiesHold) {
+  SystemConfig cfg = quick_config();
+  cfg.obs_resource_telemetry = true;
+  cfg.obs_heat_buckets = 8;
+  // Contention, ship timeouts and outages: every abort cause counts, each
+  // to its own total, so a cause exported under another's name shows.
+  cfg.lockspace = 2000;
+  cfg.prob_write_lock = 0.6;
+  cfg.ship_timeout = 2.0;
+  cfg.faults.windows.push_back({FaultKind::CentralOutage, -1, 30.0, 10.0});
+  cfg.faults.windows.push_back({FaultKind::SiteOutage, 3, 40.0, 5.0});
+  const RunResult r = run_simulation(cfg, {StrategyKind::MinAverageNsys, 0.0},
+                                     quick_options());
+  const obs::Registry& reg = r.registry;
+  auto count = [&reg](const std::string& name) -> std::uint64_t {
+    const obs::MetricEntry* e = reg.find(name);
+    EXPECT_NE(e, nullptr) << name;
+    return e == nullptr ? 0 : e->count;
+  };
+
+  for (const obs::MetricEntry& e : reg.entries()) {
+    EXPECT_FALSE(e.unit.empty()) << e.name;
+  }
+  EXPECT_GT(count("txn.completions"), 0u);
+  EXPECT_EQ(count("txn.completions"), count("txn.completions.local_a") +
+                                          count("txn.completions.shipped_a") +
+                                          count("txn.completions.class_b"));
+  for (const char* name :
+       {"aborts.preempted", "aborts.invalidated", "aborts.auth_refused",
+        "aborts.deadlock", "aborts.ship_timeout", "aborts.crash",
+        "txn.arrivals.class_a", "txn.shipped.class_a"}) {
+    std::uint64_t site_sum = 0;
+    for (int s = 0; s < cfg.num_sites; ++s) {
+      site_sum += count("site" + std::to_string(s) + "." + name);
+    }
+    EXPECT_GT(count(name), 0u) << name;
+    EXPECT_EQ(count(name), site_sum) << name;
+  }
+
+  // Every completion charges its whole response time to phases.
+  const obs::MetricEntry* rt = reg.find("rt.all");
+  ASSERT_NE(rt, nullptr);
+  int phases = 0;
+  double phase_sum = 0.0;
+  for (const obs::MetricEntry& e : reg.entries()) {
+    if (e.kind == obs::MetricKind::Stat && e.name.rfind("phase.", 0) == 0) {
+      ++phases;
+      phase_sum += e.sum;
+      EXPECT_EQ(e.count, rt->count) << e.name;
+    }
+  }
+  EXPECT_EQ(phases, obs::kPhaseCount);
+  EXPECT_NEAR(phase_sum, rt->sum, 1e-9 * rt->sum);
+
+  for (const obs::MetricEntry& e : reg.entries()) {
+    if (e.kind == obs::MetricKind::Stat && e.count > 0) {
+      EXPECT_LE(e.min, e.mean + 1e-12) << e.name;
+      EXPECT_LE(e.mean, e.max + 1e-12) << e.name;
+    }
+  }
+}
+
 TEST(Artifact, ObsArtifactConfigWritesTheFile) {
   const std::string path = testing::TempDir() + "hls_artifact_test.json";
   SystemConfig cfg = quick_config();
@@ -98,6 +166,24 @@ TEST(Artifact, ObsArtifactConfigWritesTheFile) {
   EXPECT_EQ(file_bytes.str(), artifact_of(r));
   in.close();
   std::remove(path.c_str());
+}
+
+// A path that cannot be opened is one warning naming the key and the path;
+// the run still returns its result.
+TEST(Artifact, UnopenableArtifactPathWarnsAndReturnsTheResult) {
+  // A regular file as the parent directory: no process can create the path.
+  const std::string not_a_dir = testing::TempDir() + "hls_artifact_not_a_dir";
+  std::ofstream(not_a_dir) << "file\n";
+  SystemConfig cfg = quick_config();
+  cfg.obs_artifact = not_a_dir + "/a.json";
+  testing::internal::CaptureStderr();
+  const RunResult r = run_simulation(cfg, {StrategyKind::MinAverageNsys, 0.0},
+                                     quick_options());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[WARN] obs_artifact: cannot write '" + cfg.obs_artifact + "'\n");
+  EXPECT_GT(r.metrics.completions, 0u);
+  EXPECT_FALSE(write_run_artifact_file(cfg.obs_artifact, r));
+  std::remove(not_a_dir.c_str());
 }
 
 }  // namespace

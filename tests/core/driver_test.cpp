@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <string>
 
 #include "core/experiment.hpp"
 #include "model/static_optimizer.hpp"
@@ -63,6 +66,28 @@ TEST(Driver, CallerConstructedStrategyOverload) {
       run_simulation(light_config(), std::move(strategy), quick_options());
   EXPECT_EQ(r.strategy_name, "always-central");
   EXPECT_DOUBLE_EQ(r.metrics.ship_fraction(), 1.0);
+}
+
+// A span-sink path that cannot be opened is one warning naming the key and
+// the path; the run goes on without the sink and returns the same result.
+TEST(Driver, UnopenableSpanSinkPathWarnsAndRunsWithoutIt) {
+  // A regular file as the parent directory: no process can create the path.
+  const std::string not_a_dir = testing::TempDir() + "hls_span_not_a_dir";
+  std::ofstream(not_a_dir) << "file\n";
+  const std::string path = not_a_dir + "/t.json";
+  SystemConfig cfg = light_config();
+  cfg.obs_span_sink = "perfetto:" + path;
+  testing::internal::CaptureStderr();
+  const RunResult r = run_simulation(cfg, {StrategyKind::NoLoadSharing, 0.0},
+                                     quick_options());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[WARN] obs_span_sink: cannot open '" + path +
+                "'; running without it\n");
+  const RunResult plain = run_simulation(
+      light_config(), {StrategyKind::NoLoadSharing, 0.0}, quick_options());
+  EXPECT_EQ(r.metrics.completions, plain.metrics.completions);
+  EXPECT_EQ(r.metrics.rt_all.sum(), plain.metrics.rt_all.sum());
+  std::remove(not_a_dir.c_str());
 }
 
 TEST(Driver, TimeScaleEnvDefaultsToOne) {

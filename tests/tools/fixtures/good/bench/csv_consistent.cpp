@@ -1,19 +1,10 @@
-// Good twin: csv rows match their header's arity, the Table row chain fills
-// every column, and main() honors HLS_TIME_SCALE through scaled_options
-// (bench-csv-schema, bench-time-scale).
-#include <cstdio>
-#include "util/table.hpp"
-
+// Good twin: main() honors HLS_TIME_SCALE through scaled_options
+// (bench-time-scale).
 namespace bench {
 struct Options;
 Options scaled_options();
 }  // namespace bench
 
 int main() {
-  std::printf("\ncsv,steady,rate,value\n");
-  std::printf("csv,steady,%.2f,%.3f\n", 1.25, 2.5);
-  hls::Table t({"rate", "value"});
-  t.begin_row().add_num(1.25).add_num(2.5);
-  t.print();
   return 0;
 }

@@ -2,7 +2,7 @@
 #include "util/random.hpp"
 namespace fx {
 double draw(hls::Rng& parent) {
-  hls::Rng stream = parent.fork("workload.draw");
+  hls::Rng stream = parent.fork();  // workload.draw
   return stream.next_double();
 }
 }  // namespace fx

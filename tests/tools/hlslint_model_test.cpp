@@ -1,10 +1,10 @@
 // Injected-drift self-tests for the semantic-model rules, plus the JSON
-// output round trip. Each drift test builds a scratch tree in a temp dir
+// output round trip. The drift test builds a scratch tree in a temp dir
 // that lints clean, then re-injects the exact drift the rule exists to
-// catch — deleting a config key list entry, duplicating a fork label —
-// and asserts the lint produces exactly the expected finding, nothing more.
-// The baseline test closes the loop for the new rule ids: model-rule
-// findings must grandfather and resurface like any text-rule finding.
+// catch — deleting a config key list entry — and asserts the lint produces
+// exactly the expected finding, nothing more. The baseline test closes the
+// loop for the model rule ids: model-rule findings must grandfather and
+// resurface like any text-rule finding.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -82,28 +82,23 @@ const char kConfigDrift[] =
     "}\n"
     "}  // namespace fx\n";
 
-const char kForksClean[] =
-    "// Scratch fork labels: two streams, two distinct labels.\n"
-    "#include \"util/random.hpp\"\n"
-    "namespace fx {\n"
-    "struct Rng;\n"
-    "void arm(Rng& rng) {\n"
-    "  auto a = rng.fork(\"stream.alpha\");\n"
-    "  auto b = rng.fork(\"stream.beta\");\n"
-    "}\n"
-    "}  // namespace fx\n";
+// A bench whose main() honors HLS_TIME_SCALE through scaled_options.
+const char kBenchClean[] =
+    "// Scratch bench: quick runs scale down.\n"
+    "int run_everything(double scale);\n"
+    "double scaled_options();\n"
+    "int main() {\n"
+    "  return run_everything(scaled_options());\n"
+    "}\n";
 
-// Same file with the second label edited to collide with the first.
-const char kForksDrift[] =
-    "// Scratch fork labels: two streams, two distinct labels.\n"
-    "#include \"util/random.hpp\"\n"
-    "namespace fx {\n"
-    "struct Rng;\n"
-    "void arm(Rng& rng) {\n"
-    "  auto a = rng.fork(\"stream.alpha\");\n"
-    "  auto b = rng.fork(\"stream.alpha\");\n"  // line 7: the duplicate
-    "}\n"
-    "}  // namespace fx\n";
+// Same bench with the scaling call dropped: quick CI runs would silently
+// run it at full length.
+const char kBenchDrift[] =
+    "// Scratch bench: quick runs scale down.\n"
+    "int run_everything(double scale);\n"
+    "int main() {\n"
+    "  return run_everything(1.0);\n"
+    "}\n";
 
 // ---- injected-drift self-tests -------------------------------------------
 
@@ -125,29 +120,12 @@ TEST_F(HlslintModel, DeletingAKeyListEntryIsCaught) {
       << after.findings[0].message;
 }
 
-TEST_F(HlslintModel, DuplicatingAForkLabelIsCaught) {
-  write_file("src/sim/streams.cpp", kForksClean);
-  hlslint::LintResult before = hlslint::lint_tree(options());
-  ASSERT_TRUE(before.findings.empty())
-      << before.findings[0].file << ":" << before.findings[0].line << ": "
-      << before.findings[0].rule << ": " << before.findings[0].message;
-
-  write_file("src/sim/streams.cpp", kForksDrift);
-  hlslint::LintResult after = hlslint::lint_tree(options());
-  ASSERT_EQ(after.findings.size(), 1u);
-  EXPECT_EQ(after.findings[0].rule, "fork-label-unique");
-  EXPECT_EQ(after.findings[0].file, "src/sim/streams.cpp");
-  EXPECT_EQ(after.findings[0].line, 7);  // the second, colliding fork
-  EXPECT_NE(after.findings[0].message.find("duplicate fork label"),
-            std::string::npos);
-}
-
 // ---- baseline round trip for the model rules -----------------------------
 
 TEST_F(HlslintModel, ModelRuleFindingsRoundTripThroughBaseline) {
   // Both drifts in one tree: two findings across two model rule ids.
   write_file("src/hybrid/config.hpp", kConfigDrift);
-  write_file("src/sim/streams.cpp", kForksDrift);
+  write_file("bench/scratch.cpp", kBenchDrift);
 
   hlslint::Options opts = options();
   opts.use_baseline = true;
@@ -164,9 +142,9 @@ TEST_F(HlslintModel, ModelRuleFindingsRoundTripThroughBaseline) {
   EXPECT_EQ(suppressed.suppressed_baseline, 2);
   EXPECT_EQ(suppressed.stale_baseline, 0);
 
-  // Fixing one drift (restoring the fork label) makes exactly its entry
+  // Fixing one drift (restoring the scaling call) makes exactly its entry
   // stale; the other stays grandfathered.
-  write_file("src/sim/streams.cpp", kForksClean);
+  write_file("bench/scratch.cpp", kBenchClean);
   hlslint::LintResult fixed = hlslint::lint_tree(opts);
   EXPECT_TRUE(fixed.findings.empty());
   EXPECT_EQ(fixed.suppressed_baseline, 1);
@@ -180,7 +158,7 @@ TEST(HlslintJson, RoundTripIsIdentity) {
       {"src/a.cpp", 3, "hls-assert", "plain message"},
       {"src/b.hpp", 41, "config-roundtrip",
        "config key 'x' has no `key == \"x\"` parse case"},
-      {"bench/c.cpp", 7, "bench-csv-schema",
+      {"bench/c.cpp", 7, "bench-time-scale",
        "quotes \" backslash \\ newline \n tab \t return \r control \x01"},
   };
   std::string json = hlslint::findings_to_json(in);

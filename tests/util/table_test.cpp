@@ -62,6 +62,29 @@ TEST(Table, RowAccessors) {
   EXPECT_EQ(t.row(0).at(0), "v");
 }
 
+// A short row is a schema break the csv reader would only find downstream:
+// the table refuses it when the next row starts or when it prints.
+TEST(TableDeathTest, ShortRowThenBeginRowAborts) {
+  Table t({"a", "b"});
+  t.begin_row().add_int(1);
+  EXPECT_DEATH(t.begin_row(), "fewer cells than headers");
+}
+
+TEST(TableDeathTest, ShortLastRowAbortsAtPrint) {
+  Table t({"a", "b"});
+  t.begin_row().add_int(1).add_int(2);
+  t.begin_row().add_int(3);
+  std::ostringstream os;
+  EXPECT_DEATH(t.print(os), "fewer cells than headers");
+}
+
+TEST(TableDeathTest, ShortLastRowAbortsAtPrintCsv) {
+  Table t({"a", "b"});
+  t.begin_row().add_int(1);
+  std::ostringstream os;
+  EXPECT_DEATH(t.print_csv(os), "fewer cells than headers");
+}
+
 TEST(Table, ColumnsAlignAcrossRows) {
   Table t({"h", "long_header"});
   t.begin_row().add_cell("yyyyyyyyyy").add_cell("1");

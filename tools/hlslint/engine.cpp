@@ -42,15 +42,9 @@ const std::vector<std::pair<std::string, std::string>>& rule_catalog() {
       {"config-roundtrip",
        "every scalar SystemConfig field has a config key list entry, and "
        "every listed key has a Markdown mention"},
-      {"fork-label-unique",
-       "Rng::fork call sites in src/ carry a stream label, unique across "
-       "the tree (duplicate labels silently correlate streams)"},
       {"registry-unit",
        "an instrument name carries the same unit tag at every registration "
        "site"},
-      {"bench-csv-schema",
-       "csv, header arity matches row arity, for printf literals and "
-       "literal-header Table builds"},
       {"bench-time-scale",
        "every bench main() honors HLS_TIME_SCALE via bench::scaled_options "
        "or time_scale_from_env"},

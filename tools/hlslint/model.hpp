@@ -9,10 +9,7 @@
 //   * SystemConfig fields and the config key list entries
 //     (`key("x", c.field, ...)` in for_each_config_key), plus the
 //     concatenated docs text;
-//   * Rng::fork(...) call sites with their label literals;
 //   * obs::Registry registration sites with (name, unit);
-//   * "csv,"-prefixed format literals and literal-header Table builds in
-//     bench files;
 //   * the include-graph edge count, for the parser smoke test.
 //
 // A section is only meaningful when its anchor artifacts exist in the
@@ -47,35 +44,10 @@ struct ConfigKeyModel {
   ModelSite site;
 };
 
-struct ForkSiteModel {
-  std::string label;  // empty when the call passes no string literal
-  bool labeled = false;
-  ModelSite site;
-};
-
 struct RegistrationModel {
   std::string name;
   std::string unit;
   ModelSite site;
-};
-
-struct CsvLiteralModel {
-  std::string text;  // full literal, starting "csv,"
-  ModelSite site;
-};
-
-/// A Table built from a brace list of string-literal headers, together with
-/// the add_cell/add_num/add_int count of every single-statement
-/// `name.begin_row()....;` chain on that variable in the same function.
-struct TableBuildModel {
-  std::string variable;
-  int header_count = 0;
-  ModelSite site;
-  struct RowChain {
-    int cells = 0;
-    ModelSite site;
-  };
-  std::vector<RowChain> rows;
 };
 
 struct RepoModel {
@@ -86,15 +58,8 @@ struct RepoModel {
   std::vector<ConfigKeyModel> config_keys;      // for_each_config_key entries
   std::string docs_text;  // all *.md under <root> and <root>/docs
 
-  // ---- RNG stream labels ----
-  std::vector<ForkSiteModel> forks;
-
   // ---- registry instruments ----
   std::vector<RegistrationModel> registrations;
-
-  // ---- bench CSV schemas ----
-  std::vector<CsvLiteralModel> csv_literals;
-  std::vector<TableBuildModel> table_builds;
 
   // ---- include graph (parser smoke) ----
   int include_edges = 0;
@@ -111,8 +76,8 @@ RepoModel build_model(const std::vector<SourceFile>& files,
                       const std::string& root);
 
 /// Cross-artifact contract rules over the model (config-roundtrip,
-/// fork-label-unique, registry-unit, bench-csv-schema, bench-time-scale).
-/// `files` supplies the per-file context the bench rules need.
+/// registry-unit, bench-time-scale). `files` supplies the per-file context
+/// the bench rule needs.
 void check_model_rules(const RepoModel& model,
                        const std::vector<SourceFile>& files,
                        std::vector<Finding>& out);

@@ -1,7 +1,6 @@
 // Cross-artifact contract rules over the repo model (model.hpp). Each rule
 // fires only when the model's anchor artifacts exist in the scanned tree,
 // so fixture trees exercising one contract stay silent on the others.
-#include <algorithm>
 #include <map>
 #include <set>
 #include <sstream>
@@ -90,36 +89,6 @@ void rule_config_roundtrip(const RepoModel& m, std::vector<Finding>& out) {
   }
 }
 
-// ---- fork-label-unique ---------------------------------------------------
-//
-// RNG streams forked under duplicate labels silently correlate streams the
-// code presents as independent; unlabeled forks in src/ hide stream
-// identity from review.
-void rule_fork_label_unique(const RepoModel& m, std::vector<Finding>& out) {
-  std::map<std::string, const ForkSiteModel*> first;
-  for (const ForkSiteModel& fk : m.forks) {
-    if (!starts_with(fk.site.file, "src/")) {
-      continue;
-    }
-    if (!fk.labeled) {
-      add(out, fk.site, "fork-label-unique",
-          "unlabeled Rng::fork() in src/; pass a unique stream label "
-          "(doc-only: fork(\"label\") draws the same stream) so stream "
-          "identity is reviewable");
-      continue;
-    }
-    auto [it, inserted] = first.emplace(fk.label, &fk);
-    if (!inserted) {
-      std::ostringstream msg;
-      msg << "duplicate fork label \"" << fk.label << "\" (first used at "
-          << it->second->site.file << ":" << it->second->site.line
-          << "); duplicate labels mark streams as related when the code "
-             "treats them as independent";
-      add(out, fk.site, "fork-label-unique", msg.str());
-    }
-  }
-}
-
 // ---- registry-unit -------------------------------------------------------
 //
 // The same instrument name must carry the same unit tag at every
@@ -135,88 +104,6 @@ void rule_registry_unit(const RepoModel& m, std::vector<Finding>& out) {
           << it->second->site.file << ":" << it->second->site.line
           << "; the same name must mean the same unit everywhere";
       add(out, reg.site, "registry-unit", msg.str());
-    }
-  }
-}
-
-// ---- bench-csv-schema ----------------------------------------------------
-//
-// `csv,`-prefixed printf literals: the %-free header for a tag declares the
-// column arity; every %-bearing row for that tag must match it. Same for
-// literal-header Table builds vs their begin_row() cell chains.
-std::vector<std::string> split_fields(const std::string& s) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == ',') {
-      fields.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return fields;
-}
-
-void rule_bench_csv_schema(const RepoModel& m, std::vector<Finding>& out) {
-  // Group the literals per file and per tag (the second comma field).
-  struct Group {
-    const CsvLiteralModel* header = nullptr;
-    int header_fields = 0;
-  };
-  std::map<std::pair<std::string, std::string>, Group> groups;
-  for (const CsvLiteralModel& lit : m.csv_literals) {
-    if (lit.text.find('%') != std::string::npos) {
-      continue;
-    }
-    std::vector<std::string> fields = split_fields(lit.text);
-    if (fields.size() < 2) {
-      continue;
-    }
-    auto key = std::make_pair(lit.site.file, fields[1]);
-    auto [it, inserted] = groups.emplace(key, Group{&lit, (int)fields.size()});
-    if (!inserted && it->second.header_fields != (int)fields.size()) {
-      std::ostringstream msg;
-      msg << "csv header for tag '" << fields[1] << "' declares "
-          << fields.size() << " fields but the header at "
-          << it->second.header->site.file << ":"
-          << it->second.header->site.line << " declares "
-          << it->second.header_fields << "; one tag, one schema";
-      add(out, lit.site, "bench-csv-schema", msg.str());
-    }
-  }
-  for (const CsvLiteralModel& lit : m.csv_literals) {
-    if (lit.text.find('%') == std::string::npos) {
-      continue;
-    }
-    std::vector<std::string> fields = split_fields(lit.text);
-    if (fields.size() < 2 || fields[1].find('%') != std::string::npos) {
-      continue;  // tag not a literal; not checkable
-    }
-    auto it = groups.find(std::make_pair(lit.site.file, fields[1]));
-    if (it == groups.end()) {
-      add(out, lit.site, "bench-csv-schema",
-          "csv row for tag '" + fields[1] +
-              "' has no %-free header literal in this file; emit the "
-              "header once so downstream parsers know the schema");
-      continue;
-    }
-    if ((int)fields.size() != it->second.header_fields) {
-      std::ostringstream msg;
-      msg << "csv row for tag '" << fields[1] << "' has " << fields.size()
-          << " fields but the header at " << it->second.header->site.file
-          << ":" << it->second.header->site.line << " declares "
-          << it->second.header_fields;
-      add(out, lit.site, "bench-csv-schema", msg.str());
-    }
-  }
-  for (const TableBuildModel& t : m.table_builds) {
-    for (const TableBuildModel::RowChain& row : t.rows) {
-      if (row.cells != t.header_count) {
-        std::ostringstream msg;
-        msg << "table row adds " << row.cells << " cells but '" << t.variable
-            << "' declares " << t.header_count << " headers at " << t.site.file
-            << ":" << t.site.line;
-        add(out, row.site, "bench-csv-schema", msg.str());
-      }
     }
   }
 }
@@ -269,9 +156,7 @@ void check_model_rules(const RepoModel& model,
                        const std::vector<SourceFile>& files,
                        std::vector<Finding>& out) {
   rule_config_roundtrip(model, out);
-  rule_fork_label_unique(model, out);
   rule_registry_unit(model, out);
-  rule_bench_csv_schema(model, out);
   rule_bench_time_scale(files, out);
 }
 

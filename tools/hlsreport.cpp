@@ -2,12 +2,14 @@
 // (docs/OBSERVABILITY.md "hlsreport").
 //
 // Loads one or two canonical run artifacts (core/artifact.hpp) — or any
-// flat JSON document such as the committed BENCH_<N>.json snapshots — and
-// renders summaries or aligned numeric diffs. Subcommands:
+// JSON document, nested objects flattened to dotted keys — and renders
+// summaries or aligned numeric diffs. Subcommands:
 //
 //   gen <out.json> [key=value ...]  simulate the canonical reference run
 //                                   (overridable via config key=value pairs)
-//                                   and write its artifact to <out.json>
+//                                   and write its artifact to <out.json>;
+//                                   a path that cannot be written is one
+//                                   line naming it, exit status 2
 //   show <a.json> [--top K]         one-artifact summary: run provenance,
 //                                   headline metrics, per-resource table,
 //                                   top-K hot lock buckets
@@ -59,7 +61,7 @@
 namespace {
 
 // ---------------------------------------------------------------------------
-// Minimal JSON reader: just enough for artifacts and BENCH snapshots.
+// Minimal JSON reader: just enough for run artifacts.
 // ---------------------------------------------------------------------------
 
 struct JsonValue {
@@ -518,7 +520,10 @@ int cmd_gen(const std::string& out_path,
   const hls::StrategySpec spec =
       hls::parse_strategy_spec("min-average-nsys").value();
   const hls::RunResult result = hls::run_simulation(cfg, spec, opt);
-  hls::write_run_artifact_file(out_path, result);
+  if (!hls::write_run_artifact_file(out_path, result)) {
+    std::fprintf(stderr, "hlsreport gen: cannot write %s\n", out_path.c_str());
+    return 2;
+  }
   std::printf("hlsreport gen: wrote %s (%zu metrics)\n", out_path.c_str(),
               result.registry.size());
   return 0;
