@@ -259,12 +259,11 @@ std::optional<RouteRange> DynamicEstimator::estimate_range(
   // correctly rounded +, -, *, / and min, each monotone in the split while
   // the abort coefficients and rerun lengths are non-negative: P_abort_local
   // rises with local_requester_outlives and P_abort_central falls with
-  // local_holder_outlives. abort_split clamps both to [0, 1] whenever it
-  // returns a number, so the split's two ends bound every time.
+  // local_holder_outlives. abort_split returns both in [0, 1] at every
+  // length, so the split's two ends bound every time.
   const auto bracketed = [](const FixedPoint& fp) {
     return fp.local_aborts >= 0.0 && fp.central_aborts >= 0.0 &&
-           fp.r_l_rerun >= 0.0 && fp.r_c_rerun >= 0.0 &&
-           abort_split_is_number(fp.central_len);
+           fp.r_l_rerun >= 0.0 && fp.r_c_rerun >= 0.0;
   };
   const Options opt = options(view);
   if (!bracketed(opt.run_local) || !bracketed(opt.ship)) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <limits>
 
 #include "util/assert.hpp"
 
@@ -60,6 +59,17 @@ LaneSurvivals lane_survivals(double length, Lanes t) {
   return {uniform, uniform * uniform};
 }
 
+/// The exponent e for which 2^e · `central_len` lies in [1, 2), when the
+/// Simpson weights' division by central_len² would overflow or underflow at
+/// central_len itself (outside [1e-150, 1e150]); 0 otherwise, and for zero
+/// or an infinite length.
+int rescale_exponent(double central_len) {
+  const bool extreme = central_len < 1e-150 || central_len > 1e150;
+  return central_len > 0.0 && extreme && std::isfinite(central_len)
+             ? -std::ilogb(central_len)
+             : 0;
+}
+
 double density(const Residual& r, double x) {
   if (x < 0.0 || x > r.length || r.length <= 0.0) {
     return 0.0;
@@ -89,6 +99,13 @@ double residual_survival(const Residual& r, double t) {
 double prob_first_exceeds(const Residual& a, const Residual& b, double offset) {
   HLS_ASSERT(offset >= 0.0, "negative offset");
   HLS_ASSERT(a.length >= 0.0 && b.length >= 0.0, "negative residual length");
+  // The probability does not change with scale, and scaling by a power of
+  // two is exact: an extreme length of B is computed at [1, 2) instead.
+  if (const int e = rescale_exponent(b.length); e != 0) {
+    return prob_first_exceeds({a.shape, std::ldexp(a.length, e)},
+                              {b.shape, std::ldexp(b.length, e)},
+                              std::ldexp(offset, e));
+  }
 
   if (a.length <= 0.0) {
     return 0.0;  // A == 0 can never exceed B + offset >= 0
@@ -114,12 +131,22 @@ std::array<AbortSplit, N> abort_splits(const std::array<double, N>& local_lens,
                                        double central_len, double offset) {
   HLS_ASSERT(offset >= 0.0, "negative offset");
   HLS_ASSERT(central_len >= 0.0, "negative residual length");
-  // Zero lengths take prob_first_exceeds's special cases. So do central
-  // lengths too small for central_len / kSteps to be exact: only an exact
-  // step keeps every grid point inside [0, central_len], where the pass
-  // below may skip density()'s support test. One degenerate length sends
-  // every split of the call there; the others come out the same.
-  bool degenerate = central_len < kSteps * std::numeric_limits<double>::min();
+  // As in prob_first_exceeds: an extreme central length is computed at
+  // [1, 2), every length and the offset scaled by the same power of two.
+  if (const int e = rescale_exponent(central_len); e != 0) {
+    std::array<double, N> scaled;
+    for (std::size_t k = 0; k < N; ++k) {
+      scaled[k] = std::ldexp(local_lens[k], e);
+    }
+    return abort_splits<N>(scaled, std::ldexp(central_len, e),
+                           std::ldexp(offset, e));
+  }
+  // Zero lengths take prob_first_exceeds's special cases; one sends every
+  // split of the call there, and the others come out the same. A positive
+  // central length is at least 1e-150 here, so the step central_len / kSteps
+  // is exact and keeps every grid point inside [0, central_len], where the
+  // pass below may skip density()'s support test.
+  bool degenerate = central_len <= 0.0;
   for (const double local_len : local_lens) {
     HLS_ASSERT(local_len >= 0.0, "negative residual length");
     degenerate = degenerate || local_len <= 0.0;
@@ -189,10 +216,6 @@ template std::array<AbortSplit, 1> abort_splits(const std::array<double, 1>&,
                                                 double, double);
 template std::array<AbortSplit, 2> abort_splits(const std::array<double, 2>&,
                                                 double, double);
-
-bool abort_split_is_number(double central_len) {
-  return central_len <= 0.0 || (central_len >= 1e-150 && central_len <= 1e150);
-}
 
 AbortSplit abort_split(double local_len, double central_len, double offset) {
   return abort_splits<1>({local_len}, central_len, offset)[0];

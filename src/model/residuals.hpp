@@ -33,7 +33,10 @@ struct Residual {
 /// P(A > B + offset) for independent residuals A, B and offset >= 0.
 /// Evaluated by adaptive Simpson integration over B (exact to ~1e-10 for
 /// these piecewise-polynomial shapes; unit tests cross-check closed forms
-/// and Monte-Carlo estimates).
+/// and Monte-Carlo estimates). A B length outside [1e-150, 1e150], where the
+/// triangular density's division by its square would overflow or underflow,
+/// is first brought into [1, 2) by scaling every length and the offset by
+/// one power of two, which leaves the probability unchanged.
 [[nodiscard]] double prob_first_exceeds(const Residual& a, const Residual& b,
                                         double offset);
 
@@ -53,20 +56,12 @@ struct AbortSplit {
 };
 
 /// The two prob_first_exceeds calls of one abort split in one Simpson pass
-/// over the central length. Equal bit for bit to
+/// over the central length, so each is a probability at every length.
+/// Equal bit for bit to
 ///   {prob_first_exceeds({Uniform, local_len}, {Triangular, central_len}, offset),
 ///    prob_first_exceeds({Triangular, local_len}, {Uniform, central_len}, offset)}.
 [[nodiscard]] AbortSplit abort_split(double local_len, double central_len,
                                      double offset);
-
-/// True when abort_split(local_len, central_len, offset) returns numbers,
-/// each in [0, 1], for every local_len and offset it accepts. Its Simpson
-/// weights divide by central_len², which overflows or underflows to zero
-/// at extreme lengths and makes the split NaN there (for example, at
-/// central_len = 1e-200). Zero, the point mass, and the lengths in
-/// [1e-150, 1e150], where every weight is finite, answer true; the other
-/// positive lengths answer false.
-[[nodiscard]] bool abort_split_is_number(double central_len);
 
 /// The abort splits of N local lengths against one central length and
 /// offset, in one Simpson pass that computes the central grid once for all

@@ -12,10 +12,10 @@ namespace hls::obs {
 
 namespace {
 
-MetricEntry make_base(const std::string& prefix, const char* name,
+MetricEntry make_base(const std::string& prefix, MetricName name,
                       const char* unit, MetricKind kind) {
   MetricEntry e;
-  e.name = prefix + name;
+  e.name = prefix + name.c_str();
   e.unit = unit;
   e.kind = kind;
   return e;
@@ -23,21 +23,21 @@ MetricEntry make_base(const std::string& prefix, const char* name,
 
 }  // namespace
 
-void Registry::Scope::counter(const char* name, std::uint64_t value,
+void Registry::Scope::counter(MetricName name, std::uint64_t value,
                               const char* unit) const {
   MetricEntry e = make_base(prefix_, name, unit, MetricKind::Counter);
   e.count = value;
   reg_->add(std::move(e));
 }
 
-void Registry::Scope::gauge(const char* name, double value,
+void Registry::Scope::gauge(MetricName name, double value,
                             const char* unit) const {
   MetricEntry e = make_base(prefix_, name, unit, MetricKind::Gauge);
   e.value = value;
   reg_->add(std::move(e));
 }
 
-void Registry::Scope::stat(const char* name, const SampleStat& s,
+void Registry::Scope::stat(MetricName name, const SampleStat& s,
                            const char* unit) const {
   MetricEntry e = make_base(prefix_, name, unit, MetricKind::Stat);
   e.count = s.count();
@@ -51,7 +51,7 @@ void Registry::Scope::stat(const char* name, const SampleStat& s,
   reg_->add(std::move(e));
 }
 
-void Registry::Scope::time_weighted(const char* name, double average,
+void Registry::Scope::time_weighted(MetricName name, double average,
                                     double current, const char* unit) const {
   MetricEntry e = make_base(prefix_, name, unit, MetricKind::TimeWeighted);
   e.average = average;
@@ -59,7 +59,7 @@ void Registry::Scope::time_weighted(const char* name, double average,
   reg_->add(std::move(e));
 }
 
-void Registry::Scope::histogram(const char* name, const Histogram& h,
+void Registry::Scope::histogram(MetricName name, const Histogram& h,
                                 const char* unit) const {
   MetricEntry e = make_base(prefix_, name, unit, MetricKind::Histogram);
   e.bin_width = h.bin_width();
@@ -74,13 +74,13 @@ void Registry::Scope::histogram(const char* name, const Histogram& h,
   reg_->add(std::move(e));
 }
 
-void Registry::Scope::bucket_counter(const char* name, std::size_t bucket,
+void Registry::Scope::bucket_counter(MetricName name, std::size_t bucket,
                                      std::uint64_t value,
                                      const char* unit) const {
   char buf[32];
   std::snprintf(buf, sizeof buf, ".%zu", bucket);
   MetricEntry e;
-  e.name = prefix_ + name + buf;
+  e.name = prefix_ + name.c_str() + buf;
   e.unit = unit;
   e.kind = MetricKind::Counter;
   e.count = value;

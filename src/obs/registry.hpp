@@ -12,12 +12,14 @@
 //                    utilization, queue lengths, in-flight messages);
 //   * Histogram    — a fixed-width Histogram snapshot.
 //
-// Naming contract (machine-checked by hlslint's `registry-name` rule):
-// every registration site passes a string-literal stable name. The only
-// blessed runtime-composed names are the Scope prefixes ("central.",
-// "site<k>.") and bucket_counter's ".<bucket>" suffix — both produced here,
-// never by callers — so artifact keys stay greppable and diffable across
-// runs and PRs.
+// Naming contract: every registration passes a MetricName, whose consteval
+// constructor takes only a constant expression (a string literal or a
+// constexpr name), so a name composed at run time does not compile. The only
+// composed parts are the Scope prefixes ("central.", "site<k>.") and
+// bucket_counter's ".<bucket>" suffix — both produced here, never by
+// callers — so artifact keys stay greppable and diffable across runs and
+// PRs. That a name carries one unit wherever it is registered, across the
+// hybrid system and both baselines, is checked by artifact_test.
 //
 // Registration order is irrelevant to the output: write_json emits entries
 // grouped by kind and sorted by name, with shortest-round-trip number
@@ -76,6 +78,19 @@ struct MetricEntry {
   std::uint64_t overflow = 0;
 };
 
+/// A metric name fixed at compile time: the constructor is consteval, so it
+/// accepts a string literal or a constexpr name and rejects a string built
+/// at run time (`s.c_str()` does not compile).
+class MetricName {
+ public:
+  // Implicit, so a registration reads `sc.counter("txn.completions", n)`.
+  consteval MetricName(const char* name) : name_(name) {}  // NOLINT(google-explicit-constructor)
+  [[nodiscard]] const char* c_str() const { return name_; }
+
+ private:
+  const char* name_;
+};
+
 class Registry {
  public:
   /// Registration handle carrying a name prefix ("" for global metrics,
@@ -83,19 +98,19 @@ class Registry {
   /// here is the one sanctioned non-literal part of a metric name.
   class Scope {
    public:
-    void counter(const char* name, std::uint64_t value,
+    void counter(MetricName name, std::uint64_t value,
                  const char* unit = "count") const;
-    void gauge(const char* name, double value, const char* unit) const;
-    void stat(const char* name, const SampleStat& s, const char* unit) const;
+    void gauge(MetricName name, double value, const char* unit) const;
+    void stat(MetricName name, const SampleStat& s, const char* unit) const;
     /// `average` over the window and the `current` signal value, as produced
     /// by TimeWeightedStat::average / current.
-    void time_weighted(const char* name, double average, double current,
+    void time_weighted(MetricName name, double average, double current,
                        const char* unit) const;
-    void histogram(const char* name, const Histogram& h, const char* unit) const;
+    void histogram(MetricName name, const Histogram& h, const char* unit) const;
     /// Per-bucket counter family: registers "<prefix><name>.<bucket>". The
     /// blessed helper for fragment/heat counters, so bucket indices never
     /// leak into caller-side string composition.
-    void bucket_counter(const char* name, std::size_t bucket,
+    void bucket_counter(MetricName name, std::size_t bucket,
                         std::uint64_t value, const char* unit = "count") const;
 
    private:
@@ -109,25 +124,6 @@ class Registry {
   [[nodiscard]] Scope root() { return Scope(this, ""); }
   [[nodiscard]] Scope central() { return Scope(this, "central."); }
   [[nodiscard]] Scope site(int index);
-
-  // Global-metric conveniences (equivalent to root().<method>).
-  void counter(const char* name, std::uint64_t value,
-               const char* unit = "count") {
-    root().counter(name, value, unit);
-  }
-  void gauge(const char* name, double value, const char* unit) {
-    root().gauge(name, value, unit);
-  }
-  void stat(const char* name, const SampleStat& s, const char* unit) {
-    root().stat(name, s, unit);
-  }
-  void time_weighted(const char* name, double average, double current,
-                     const char* unit) {
-    root().time_weighted(name, average, current, unit);
-  }
-  void histogram(const char* name, const Histogram& h, const char* unit) {
-    root().histogram(name, h, unit);
-  }
 
   [[nodiscard]] const std::vector<MetricEntry>& entries() const {
     return entries_;

@@ -1,7 +1,8 @@
 // Run-artifact tests: schema bytes, determinism (same seed => byte-identical
 // serialization), registry population on every run (observation enabled or
-// not), the registry's accounting identities, and the obs_artifact config
-// hook writing the file from run_simulation (or warning when it cannot).
+// not), the registry's accounting identities, one unit per metric name
+// across every system, and the obs_artifact config hook writing the file
+// from run_simulation (or warning when it cannot).
 #include "core/artifact.hpp"
 
 #include <gtest/gtest.h>
@@ -9,9 +10,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "baseline/centralized_system.hpp"
+#include "baseline/distributed_system.hpp"
 #include "core/driver.hpp"
 #include "obs/phase.hpp"
 #include "obs/registry.hpp"
@@ -151,6 +156,66 @@ TEST(Artifact, RegistryAccountingIdentitiesHold) {
       EXPECT_LE(e.mean, e.max + 1e-12) << e.name;
     }
   }
+}
+
+/// `name` without its "central." or "site<k>." scope and without
+/// bucket_counter's ".<bucket>" suffix: the instrument it registers.
+std::string instrument_of(const std::string& name) {
+  const auto digits = [](const std::string& s, std::size_t from,
+                         std::size_t to) {
+    return from < to && s.find_first_not_of("0123456789", from) >= to;
+  };
+  std::string base = name;
+  if (base.rfind("central.", 0) == 0) {
+    base.erase(0, 8);
+  } else if (const std::size_t dot = base.find('.');
+             base.rfind("site", 0) == 0 && dot != std::string::npos &&
+             digits(base, 4, dot)) {
+    base.erase(0, dot + 1);
+  }
+  if (const std::size_t dot = base.rfind('.');
+      dot != std::string::npos && digits(base, dot + 1, base.size())) {
+    base.erase(dot);
+  }
+  return base;
+}
+
+// Downstream tooling aggregates series by name, so an instrument means one
+// unit wherever it is registered: in any scope, in the hybrid system with
+// every optional registration armed, and in both baselines.
+TEST(Artifact, EveryInstrumentCarriesOneUnitAcrossSystems) {
+  SystemConfig cfg = quick_config();
+  cfg.obs_resource_telemetry = true;
+  cfg.obs_heat_buckets = 4;
+  std::vector<obs::Registry> registries;
+  registries.push_back(run_simulation(cfg, {StrategyKind::MinAverageNsys, 0.0},
+                                      quick_options())
+                           .registry);
+  CentralizedSystem central(cfg);
+  central.enable_arrivals();
+  central.run_for(30.0);
+  central.export_registry(registries.emplace_back());
+  DistributedSystem distributed(cfg);
+  distributed.enable_arrivals();
+  distributed.run_for(30.0);
+  distributed.export_registry(registries.emplace_back());
+
+  EXPECT_EQ(instrument_of("site12.locks.heat.3"), "locks.heat");
+  EXPECT_EQ(instrument_of("central.cpu.util"), "cpu.util");
+  EXPECT_EQ(instrument_of("txn.arrivals.class_a"), "txn.arrivals.class_a");
+  std::map<std::string, const obs::MetricEntry*> first;
+  for (const obs::Registry& reg : registries) {
+    EXPECT_NE(reg.find("txn.completions"), nullptr);
+    for (const obs::MetricEntry& e : reg.entries()) {
+      const auto [it, inserted] = first.emplace(instrument_of(e.name), &e);
+      EXPECT_EQ(e.unit, it->second->unit)
+          << e.name << " and " << it->second->name << " register "
+          << it->first << " in two units";
+    }
+  }
+  EXPECT_NE(first.find("locks.heat"), first.end());
+  EXPECT_NE(first.find("link.up.in_flight"), first.end());
+  EXPECT_NE(first.find("msg.remote_calls"), first.end());
 }
 
 TEST(Artifact, ObsArtifactConfigWritesTheFile) {

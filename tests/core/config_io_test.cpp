@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
+#include <cstddef>
+#include <fstream>
+#include <functional>
+#include <set>
 #include <sstream>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -123,6 +129,78 @@ TEST(ConfigIo, EveryDescribedKeyIsAccepted) {
     std::string error;
     EXPECT_TRUE(apply_config_override(cfg, line, &error)) << line << ": " << error;
   }
+}
+
+/// Converts to any field type, so `T{AnyField{}...}` compiles exactly when
+/// the aggregate T has at least that many fields.
+struct AnyField {
+  template <class T>
+  operator T() const;  // NOLINT(google-explicit-constructor)
+};
+
+/// The number of fields of the aggregate T, by brace-initialization probe.
+template <class T, class... Fields>
+constexpr std::size_t field_count() {
+  if constexpr (requires { T{Fields{}..., AnyField{}}; }) {
+    return field_count<T, Fields..., AnyField>();
+  } else {
+    return sizeof...(Fields);
+  }
+}
+
+// A SystemConfig field with no key cannot be set from config text, and a
+// described run silently drops it. Every field has a key but the two named
+// here: the per-site speeds (a list, set in code) and the fault schedule,
+// whose scalar members have keys of their own (read below as members of
+// `faults`, not of the config) and whose windows the repeatable `fault=` key
+// appends.
+TEST(ConfigIo, EveryFieldHasAKeyButTheNamedOnes) {
+  SystemConfig c;
+  const std::set<const void*> unlisted = {&c.local_mips_per_site, &c.faults};
+  const char* const faults = reinterpret_cast<const char*>(&c.faults);
+  const std::less<const char*> before;
+  std::set<const void*> direct;
+  for_each_config_key(c, [&](const char* key, const auto& field, const auto&) {
+    const char* const at = reinterpret_cast<const char*>(&field);
+    if (before(at, faults) || !before(at, faults + sizeof c.faults)) {
+      EXPECT_EQ(unlisted.count(at), 0u) << key;
+      direct.insert(at);
+    }
+  });
+  EXPECT_EQ(field_count<SystemConfig>(), direct.size() + unlisted.size())
+      << "a SystemConfig field has no key in for_each_config_key";
+}
+
+/// True when `word` occurs in `text` with no identifier character on either
+/// side, so `seed` is not found in `reseed`.
+bool mentions_word(const std::string& text, const std::string& word) {
+  const auto ident = [](char ch) {
+    return std::isalnum(static_cast<unsigned char>(ch)) != 0 || ch == '_';
+  };
+  for (std::size_t p = text.find(word); p != std::string::npos;
+       p = text.find(word, p + 1)) {
+    const std::size_t end = p + word.size();
+    if ((p == 0 || !ident(text[p - 1])) &&
+        (end == text.size() || !ident(text[end]))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(ConfigIo, DocsNameEveryKey) {
+  std::ifstream in(std::string(HLS_REPO_ROOT) + "/docs/CONFIG.md");
+  ASSERT_TRUE(in.is_open());
+  std::ostringstream docs;
+  docs << in.rdbuf();
+  const SystemConfig c;
+  int keys = 0;
+  for_each_config_key(c, [&](const char* key, const auto&, const auto&) {
+    ++keys;
+    EXPECT_TRUE(mentions_word(docs.str(), key))
+        << key << " is not named in docs/CONFIG.md";
+  });
+  EXPECT_GT(keys, 50);
 }
 
 TEST(ConfigIo, EveryKeyRoundTrips) {

@@ -165,31 +165,46 @@ TEST(AbortSplits, TwoLocalLengthsEqualTwoSingleSplits) {
   }
 }
 
-TEST(AbortSplit, IsANumberWhereverItSaysSo) {
-  // The lengths at which the split's Simpson weights overflow or underflow
-  // make it NaN: why abort_split_is_number exists.
-  EXPECT_TRUE(std::isnan(abort_split(1.0, 1e-200, 0.0).local_requester_outlives));
-  EXPECT_FALSE(abort_split_is_number(1e-200));
-  EXPECT_TRUE(abort_split_is_number(0.0));
+TEST(AbortSplit, IsAProbabilityAtEveryLength) {
+  // Outside [1e-150, 1e150] the Simpson weights' division by the central
+  // length squared would overflow or underflow (the split at a central
+  // length of 1e-200 was NaN). The split scales every length and the offset
+  // by one power of two first, which changes no probability: where every
+  // length stays normal, the scaled split is the unscaled one bit for bit.
+  const AbortSplit unit = abort_split(0.75, 0.5, 0.125);
+  for (const int e : {-700, 600}) {
+    const AbortSplit scaled = abort_split(
+        std::ldexp(0.75, e), std::ldexp(0.5, e), std::ldexp(0.125, e));
+    EXPECT_EQ(scaled.local_requester_outlives, unit.local_requester_outlives)
+        << "2^" << e;
+    EXPECT_EQ(scaled.local_holder_outlives, unit.local_holder_outlives)
+        << "2^" << e;
+  }
+
   const double inf = std::numeric_limits<double>::infinity();
-  int numbers = 0;
+  int points = 0;
   for (double central = 1e-320; central < 1e308; central *= 7.3) {
     for (double offset : {0.0, 0.2, 1e9, inf}) {
       for (double local : {0.0, 1e-300, 1e-9, 0.5, 3.0, 1e200, inf}) {
-        if (!abort_split_is_number(central)) {
-          continue;
-        }
-        ++numbers;
+        ++points;
         const AbortSplit s = abort_split(local, central, offset);
         for (double p : {s.local_requester_outlives, s.local_holder_outlives}) {
           ASSERT_TRUE(p >= 0.0 && p <= 1.0)
               << "local=" << local << " central=" << central
               << " offset=" << offset << " p=" << p;
         }
+        ASSERT_EQ(s.local_requester_outlives,
+                  prob_first_exceeds({ResidualShape::Uniform, local},
+                                     {ResidualShape::Triangular, central}, offset))
+            << "local=" << local << " central=" << central << " offset=" << offset;
+        ASSERT_EQ(s.local_holder_outlives,
+                  prob_first_exceeds({ResidualShape::Triangular, local},
+                                     {ResidualShape::Uniform, central}, offset))
+            << "local=" << local << " central=" << central << " offset=" << offset;
       }
     }
   }
-  EXPECT_GT(numbers, 1000);
+  EXPECT_EQ(points, 20384);
 }
 
 // ---- Monte-Carlo cross-validation ----

@@ -22,17 +22,17 @@ std::string json_of(const obs::Registry& reg) {
 
 TEST(Registry, KindsRoundTripThroughEntries) {
   obs::Registry reg;
-  reg.counter("demo.completions", 42);
-  reg.gauge("window.seconds", 12.5, "s");
+  reg.root().counter("demo.completions", 42);
+  reg.root().gauge("window.seconds", 12.5, "s");
   SampleStat s;
   s.add(1.0);
   s.add(3.0);
-  reg.stat("rt.all", s, "s");
-  reg.time_weighted("cpu.util", 0.25, 1.0, "fraction");
+  reg.root().stat("rt.all", s, "s");
+  reg.root().time_weighted("cpu.util", 0.25, 1.0, "fraction");
   Histogram h(0.5, 4);
   h.add(0.1);
   h.add(9.0);
-  reg.histogram("rt.histogram", h, "s");
+  reg.root().histogram("rt.histogram", h, "s");
 
   EXPECT_EQ(reg.size(), 5u);
   const obs::MetricEntry* c = reg.find("demo.completions");
@@ -92,18 +92,19 @@ TEST(Registry, BucketCounterComposesIndexSuffix) {
 
 TEST(RegistryDeathTest, DuplicateNameIsALibraryBug) {
   obs::Registry reg;
-  reg.counter("demo.completions", 1);
-  EXPECT_DEATH(reg.counter("demo.completions", 2), "duplicate metric name");
+  reg.root().counter("demo.completions", 1);
+  EXPECT_DEATH(reg.root().counter("demo.completions", 2),
+               "duplicate metric name");
 }
 
 TEST(Registry, CanonicalJsonBytes) {
   obs::Registry reg;
   // Registered deliberately out of name order and with an interleaved kind
   // mix: the output must still come out grouped and sorted.
-  reg.gauge("b.gauge", 0.5, "s");
-  reg.counter("z.counter", 3);
-  reg.counter("a.counter", 1);
-  reg.time_weighted("a.tw", 2.0, 4.0, "jobs");
+  reg.root().gauge("b.gauge", 0.5, "s");
+  reg.root().counter("z.counter", 3);
+  reg.root().counter("a.counter", 1);
+  reg.root().time_weighted("a.tw", 2.0, 4.0, "jobs");
   EXPECT_EQ(json_of(reg),
             "{\"counters\":{"
             "\"a.counter\":{\"unit\":\"count\",\"value\":1},"
@@ -118,12 +119,12 @@ TEST(Registry, CanonicalJsonBytes) {
 TEST(Registry, JsonBytesIndependentOfRegistrationOrder) {
   obs::Registry fwd;
   obs::Registry rev;
-  fwd.counter("a", 1);
-  fwd.counter("b", 2);
-  fwd.gauge("g", 3.25, "s");
-  rev.gauge("g", 3.25, "s");
-  rev.counter("b", 2);
-  rev.counter("a", 1);
+  fwd.root().counter("a", 1);
+  fwd.root().counter("b", 2);
+  fwd.root().gauge("g", 3.25, "s");
+  rev.root().gauge("g", 3.25, "s");
+  rev.root().counter("b", 2);
+  rev.root().counter("a", 1);
   EXPECT_EQ(json_of(fwd), json_of(rev));
 }
 
@@ -146,7 +147,7 @@ TEST(Registry, StringEscaping) {
 TEST(Registry, EmptyStatSerializesZeros) {
   obs::Registry reg;
   SampleStat empty;
-  reg.stat("rt.shipped_a", empty, "s");
+  reg.root().stat("rt.shipped_a", empty, "s");
   EXPECT_EQ(json_of(reg),
             "{\"counters\":{},\"gauges\":{},\"histograms\":{},"
             "\"stats\":{\"rt.shipped_a\":{\"count\":0,\"max\":0,\"mean\":0,"

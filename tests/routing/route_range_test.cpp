@@ -128,8 +128,8 @@ SystemConfig zero_cpu() {
 }
 
 /// Path lengths so short, and no I/O, that with no central locks the
-/// central run length falls where the abort split is NaN
-/// (abort_split_is_number).
+/// central run length falls below 1e-150, where the abort split rescales
+/// its lengths before the Simpson pass.
 SystemConfig tiny_cpu() {
   SystemConfig cfg = zero_cpu();
   cfg.db_calls_per_txn = 10;
@@ -283,6 +283,26 @@ TEST(RouteRange, BoundsTheEstimateAndKeepsEveryRoute) {
   EXPECT_GT(no_range, 1000) << counts;
 }
 
+TEST(RouteRange, BoundsTheEstimateAtATinyCentralLength) {
+  // The split at this view's central run length was NaN, which took
+  // P_abort_central to its 0.9 cap, above either end's, so the view had no
+  // range. The split is a probability at every length now: the range holds
+  // and bounds the exact estimate, as with central locks.
+  const SystemConfig cfg = tiny_cpu();
+  DynamicEstimator estimator(ModelParams::from_config(cfg), UtilSource::NumInSystem);
+  for (const int locks_c : {0, 5000}) {
+    const SystemStateView v = make_view(cfg, 0, 1, 2, 1, 2, 40, locks_c);
+    const std::optional<RouteRange> range = estimator.estimate_range(v);
+    ASSERT_TRUE(range.has_value()) << "locks_c=" << locks_c;
+    const RouteEstimate exact = estimator.estimate(v);
+    for (const Field& f : kFields) {
+      EXPECT_TRUE(std::isfinite(exact.*f.member)) << f.name;
+      EXPECT_LE(range->lo.*f.member, exact.*f.member) << f.name;
+      EXPECT_LE(exact.*f.member, range->hi.*f.member) << f.name;
+    }
+  }
+}
+
 // The kinds of view estimate_range must decline, one at a time.
 TEST(RouteRange, NoneWhereALockCountIsNegative) {
   // No run produces one, but a view is plain data: a negative central
@@ -309,18 +329,6 @@ TEST(RouteRange, NoneWhereARerunLengthIsNegative) {
   EXPECT_FALSE(estimator.estimate_range(v).has_value());
   const SystemStateView with_local_locks = make_view(cfg, 0, 1, 2, 1, 2, 40, 5000);
   EXPECT_TRUE(estimator.estimate_range(with_local_locks).has_value());
-}
-
-TEST(RouteRange, NoneWhereTheSplitIsNotANumber) {
-  const SystemConfig cfg = tiny_cpu();
-  DynamicEstimator estimator(ModelParams::from_config(cfg), UtilSource::NumInSystem);
-  // The local locks give P_abort_central a coefficient below 0.9; the NaN
-  // split takes it to its 0.9 cap instead, above either end's.
-  const SystemStateView v = make_view(cfg, 0, 1, 2, 1, 2, 40, 0);
-  EXPECT_FALSE(estimator.estimate_range(v).has_value());
-  EXPECT_TRUE(std::isfinite(estimator.estimate(v).r_incoming_ship));
-  const SystemStateView central_locks = make_view(cfg, 0, 1, 2, 1, 2, 40, 5000);
-  EXPECT_TRUE(estimator.estimate_range(central_locks).has_value());
 }
 
 TEST(RouteRange, NoneWhereAnEndOverflows) {

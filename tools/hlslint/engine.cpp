@@ -1,5 +1,5 @@
-// Engine: walks the tree, runs the rules, applies allow-comment and
-// baseline suppression, and keeps everything deterministic (sorted walks,
+// Engine: walks the tree, runs the rules, applies allow-comment
+// suppression, and keeps everything deterministic (sorted walks,
 // std::map/std::set throughout — the linter holds itself to the rules it
 // enforces).
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "hlslint/lint.hpp"
-#include "hlslint/model.hpp"
 
 namespace hlslint {
 
@@ -36,15 +35,6 @@ const std::vector<std::pair<std::string, std::string>>& rule_catalog() {
       {"callback-epoch",
        "scheduled lambdas capturing txn state carry (TxnId, epoch) and "
        "revalidate via find()"},
-      {"registry-name",
-       "obs::Registry registrations pass string-literal stable names; only "
-       "the registry composes prefixes and bucket suffixes"},
-      {"config-roundtrip",
-       "every scalar SystemConfig field has a config key list entry, and "
-       "every listed key has a Markdown mention"},
-      {"registry-unit",
-       "an instrument name carries the same unit tag at every registration "
-       "site"},
       {"bench-time-scale",
        "every bench main() honors HLS_TIME_SCALE via bench::scaled_options "
        "or time_scale_from_env"},
@@ -118,8 +108,6 @@ std::vector<Finding> raw_findings(const std::vector<SourceFile>& files,
     check_text_rules(f, findings);
   }
   check_layering(files, findings);
-  RepoModel model = build_model(files, opts.root);
-  check_model_rules(model, files, findings);
 
   auto enabled = [&](const std::string& rule) {
     if (!opts.only.empty() && !opts.only.count(rule)) {
@@ -150,8 +138,7 @@ std::vector<Finding> raw_findings(const std::vector<SourceFile>& files,
 bool allow_suppressed(const Finding& f, const SourceFile& file) {
   for (int line : {f.line, f.line - 1}) {
     auto it = file.allows.find(line);
-    if (it != file.allows.end() &&
-        (it->second.count(f.rule) || it->second.count("all"))) {
+    if (it != file.allows.end() && it->second.count(f.rule)) {
       return true;
     }
   }
@@ -169,51 +156,15 @@ LintResult lint_tree(const Options& opts) {
     by_path[f.path] = &f;
   }
 
-  std::multiset<std::string> baseline;
-  if (opts.use_baseline) {
-    baseline =
-        load_baseline((fs::path(opts.root) / opts.baseline_path).string());
-  }
-
   for (const Finding& f : raw_findings(files, opts)) {
     auto it = by_path.find(f.file);
-    const SourceFile* file = it == by_path.end() ? nullptr : it->second;
-    if (file != nullptr && allow_suppressed(f, *file)) {
+    if (it != by_path.end() && allow_suppressed(f, *it->second)) {
       ++result.suppressed_allow;
-      continue;
-    }
-    std::string key = baseline_key(f, file);
-    auto b = baseline.find(key);
-    if (b != baseline.end()) {
-      baseline.erase(b);  // consume one grandfathered instance
-      ++result.suppressed_baseline;
       continue;
     }
     result.findings.push_back(f);
   }
-  result.stale_baseline = static_cast<int>(baseline.size());
   return result;
-}
-
-std::vector<std::string> compute_baseline_keys(const Options& opts) {
-  Options no_baseline = opts;
-  no_baseline.use_baseline = false;
-  std::vector<SourceFile> files = collect_files(no_baseline);
-  std::map<std::string, const SourceFile*> by_path;
-  for (const SourceFile& f : files) {
-    by_path[f.path] = &f;
-  }
-  std::vector<std::string> keys;
-  for (const Finding& f : raw_findings(files, no_baseline)) {
-    auto it = by_path.find(f.file);
-    const SourceFile* file = it == by_path.end() ? nullptr : it->second;
-    if (file != nullptr && allow_suppressed(f, *file)) {
-      continue;
-    }
-    keys.push_back(baseline_key(f, file));
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
 }
 
 std::optional<std::string> find_repo_root(const std::string& start) {

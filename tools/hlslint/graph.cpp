@@ -74,11 +74,6 @@ std::vector<std::pair<int, std::string>> quoted_includes(const SourceFile& f) {
 
 }  // namespace
 
-std::vector<std::pair<int, std::string>> lexer_quoted_includes(
-    const SourceFile& f) {
-  return quoted_includes(f);
-}
-
 int layer_rank(const std::string& rel_path) {
   std::string dir = layer_dir(rel_path);
   if (dir.empty()) {

@@ -6,12 +6,11 @@
 // no-global-RNG discipline, and the (TxnId, epoch) revalidation contract for
 // event callbacks that can outlive a transaction run. This tool makes those
 // rules mechanical: a lightweight lexer (comments and literal bodies blanked,
-// no libclang), an include-graph builder, and a set of named, individually
-// suppressible rules. Findings print `file:line: rule-id: message`; a
-// `// hlslint:allow(rule-id)` comment suppresses a finding on its own or the
-// next line, and a checked-in baseline file grandfathers legacy cases.
+// no libclang), an include-graph builder, and a set of named token rules.
+// Findings print `file:line: rule-id: message`; a `// hlslint:allow(rule-id)`
+// comment suppresses a finding on its own or the next line.
 //
-// See docs/LINT.md for the rule catalogue and the suppression workflow.
+// See docs/LINT.md for the rule catalogue.
 #pragma once
 
 #include <map>
@@ -53,16 +52,12 @@ struct Options {
   std::string root;                // absolute path of the repo root
   std::set<std::string> only;     // if non-empty, run only these rules
   std::set<std::string> disabled;  // rules to skip
-  bool use_baseline = true;
-  std::string baseline_path = "tools/hlslint/baseline.txt";  // root-relative
 };
 
 struct LintResult {
-  std::vector<Finding> findings;  // survivors after allow + baseline filters
+  std::vector<Finding> findings;  // survivors after allow-comment filtering
   int files_scanned = 0;
   int suppressed_allow = 0;
-  int suppressed_baseline = 0;
-  int stale_baseline = 0;  // baseline entries that matched no finding
 };
 
 // ---- lexer.cpp -----------------------------------------------------------
@@ -90,42 +85,11 @@ int layer_rank(const std::string& rel_path);
 /// Headers includable from any layer: verified header-only leaf types.
 const std::set<std::string>& header_only_whitelist();
 
-/// Quoted-include directives as (1-based line, include path), extracted the
-/// v1 lexer way (line scan over `code`/`raw`). The parser smoke test
-/// compares this against the AST-lite extraction edge for edge.
-std::vector<std::pair<int, std::string>> lexer_quoted_includes(
-    const SourceFile& f);
-
 /// Include-graph rules: layer-order on every `#include "..."` edge within
 /// src/, cycle detection over the file-level graph, and the constraint that
 /// whitelisted headers stay header-only (no sibling .cpp).
 void check_layering(const std::vector<SourceFile>& files,
                     std::vector<Finding>& out);
-
-// ---- baseline.cpp --------------------------------------------------------
-
-/// A finding's baseline key: `rule|file|<trimmed source line>`. Content-based
-/// rather than line-number-based so unrelated edits above a grandfathered
-/// line do not invalidate the baseline.
-std::string baseline_key(const Finding& f, const SourceFile* file);
-
-/// Loads baseline entries (one key per line, '#' comments). Missing file =>
-/// empty. Duplicate keys grandfather that many identical findings.
-std::multiset<std::string> load_baseline(const std::string& path);
-
-/// Writes `keys` sorted, one per line, with a header comment.
-bool write_baseline(const std::string& path,
-                    const std::vector<std::string>& keys);
-
-// ---- json.cpp ------------------------------------------------------------
-
-/// Serializes findings as the stable CI schema:
-/// `{"findings": [{"rule", "file", "line", "message"}, ...]}`.
-std::string findings_to_json(const std::vector<Finding>& findings);
-
-/// Parses the schema emitted by findings_to_json (member order free).
-/// Returns false on any shape mismatch; `out` is then unspecified.
-bool parse_findings_json(const std::string& json, std::vector<Finding>& out);
 
 // ---- engine.cpp ----------------------------------------------------------
 
@@ -137,13 +101,8 @@ bool known_rule(const std::string& rule);
 
 /// Lints src/, tests/, bench/, examples/ and tools/ under `opts.root`
 /// (skipping any path containing a `fixtures` directory) and returns the
-/// filtered findings.
+/// findings no allow-comment suppresses.
 LintResult lint_tree(const Options& opts);
-
-/// Computes the baseline keys the current tree would need (i.e. the keys of
-/// every finding that survives allow-comment filtering, with no baseline
-/// applied). Used by --write-baseline and by the round-trip tests.
-std::vector<std::string> compute_baseline_keys(const Options& opts);
 
 /// Walks upward from `start` looking for a directory holding CLAUDE.md and
 /// src/; returns its absolute path.

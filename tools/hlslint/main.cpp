@@ -4,12 +4,8 @@
 //   hlslint --root DIR           lint an explicit tree
 //   hlslint --only a,b           run a subset of rules
 //   hlslint --disable a,b        skip rules
-//   hlslint --no-baseline        ignore the checked-in baseline
-//   hlslint --write-baseline     regenerate tools/hlslint/baseline.txt
 //   hlslint --list-rules         print the rule catalogue
-//   hlslint --format=json        findings as {"findings": [...]} on stdout
 #include <cstdio>
-#include <filesystem>
 #include <string>
 
 #include "hlslint/lint.hpp"
@@ -32,9 +28,8 @@ void split_rules(const std::string& arg, std::set<std::string>& out) {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--root DIR] [--baseline FILE] [--no-baseline]\n"
-               "          [--write-baseline] [--only RULES] [--disable RULES]\n"
-               "          [--list-rules] [--format=text|json]\n",
+               "usage: %s [--root DIR] [--only RULES] [--disable RULES]\n"
+               "          [--list-rules]\n",
                argv0);
   return 2;
 }
@@ -43,8 +38,6 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   hlslint::Options opts;
-  bool write_baseline_mode = false;
-  bool json_output = false;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto value = [&]() -> const char* {
@@ -56,16 +49,6 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
       opts.root = v;
-    } else if (arg == "--baseline") {
-      const char* v = value();
-      if (v == nullptr) {
-        return usage(argv[0]);
-      }
-      opts.baseline_path = v;
-    } else if (arg == "--no-baseline") {
-      opts.use_baseline = false;
-    } else if (arg == "--write-baseline") {
-      write_baseline_mode = true;
     } else if (arg == "--only") {
       const char* v = value();
       if (v == nullptr) {
@@ -78,16 +61,6 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
       split_rules(v, opts.disabled);
-    } else if (arg == "--format=text") {
-      json_output = false;
-    } else if (arg == "--format=json") {
-      json_output = true;
-    } else if (arg == "--format") {
-      const char* v = value();
-      if (v == nullptr || (std::string(v) != "text" && std::string(v) != "json")) {
-        return usage(argv[0]);
-      }
-      json_output = std::string(v) == "json";
     } else if (arg == "--list-rules") {
       for (const auto& [id, desc] : hlslint::rule_catalog()) {
         std::printf("%-16s %s\n", id.c_str(), desc.c_str());
@@ -118,40 +91,14 @@ int main(int argc, char** argv) {
     opts.root = *root;
   }
 
-  if (write_baseline_mode) {
-    std::vector<std::string> keys = hlslint::compute_baseline_keys(opts);
-    std::string path =
-        (std::filesystem::path(opts.root) / opts.baseline_path).string();
-    if (!hlslint::write_baseline(path, keys)) {
-      std::fprintf(stderr, "hlslint: cannot write %s\n", path.c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "hlslint: wrote %zu baseline entries to %s\n",
-                 keys.size(), path.c_str());
-    return 0;
-  }
-
   hlslint::LintResult result = hlslint::lint_tree(opts);
-  if (json_output) {
-    std::string json = hlslint::findings_to_json(result.findings);
-    std::fwrite(json.data(), 1, json.size(), stdout);
-  } else {
-    for (const hlslint::Finding& f : result.findings) {
-      std::printf("%s:%d: %s: %s\n", f.file.c_str(), f.line, f.rule.c_str(),
-                  f.message.c_str());
-    }
+  for (const hlslint::Finding& f : result.findings) {
+    std::printf("%s:%d: %s: %s\n", f.file.c_str(), f.line, f.rule.c_str(),
+                f.message.c_str());
   }
   std::fprintf(stderr,
-               "hlslint: %zu finding(s) over %d files (%d allow-suppressed, "
-               "%d baselined, %d stale baseline entries)\n",
+               "hlslint: %zu finding(s) over %d files (%d allow-suppressed)\n",
                result.findings.size(), result.files_scanned,
-               result.suppressed_allow, result.suppressed_baseline,
-               result.stale_baseline);
-  if (result.stale_baseline > 0) {
-    std::fprintf(stderr,
-                 "hlslint: note: stale baseline entries — the offending "
-                 "lines were fixed; shrink %s\n",
-                 opts.baseline_path.c_str());
-  }
+               result.suppressed_allow);
   return result.findings.empty() ? 0 : 1;
 }

@@ -1,6 +1,6 @@
 // Single-file rules: determinism bans, conventions, unordered-iteration
-// heuristics and the callback-epoch capture check. Layering lives in
-// graph.cpp because it needs the whole file set.
+// heuristics, the callback-epoch capture check and the benches' time scale.
+// Layering lives in graph.cpp because it needs the whole file set.
 //
 // Every matcher works on SourceFile::code / code_text, where comments and
 // literal bodies are already blanked — a banned token quoted in a diagnostic
@@ -644,59 +644,25 @@ void rule_callback_epoch(const SourceFile& f, std::vector<Finding>& out) {
   }
 }
 
-// ---- rule: registry-name -------------------------------------------------
+// ---- rule: bench-time-scale ----------------------------------------------
 
-/// True if `f` includes obs/registry.hpp (checked against `raw` because the
-/// lexer blanks the include path's string body).
-bool includes_registry(const SourceFile& f) {
-  for (std::size_t i = 0; i < f.code.size(); ++i) {
-    std::string t = trim(f.code[i]);
-    if (starts_with(t, "#include") &&
-        f.raw[i].find("obs/registry.hpp") != std::string::npos) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void rule_registry_name(const SourceFile& f, std::vector<Finding>& out) {
-  // The registry itself is the one sanctioned composer of metric names (the
-  // Scope prefixes and bucket_counter's ".<bucket>" suffix live there).
-  if (starts_with(f.path, "src/obs/registry.")) {
+/// A bench reads its windows' scale through bench::scaled_options() or
+/// time_scale_from_env(), which also reject a value that is not a finite
+/// number above 0.
+void rule_bench_time_scale(const SourceFile& f, std::vector<Finding>& out) {
+  if (!starts_with(f.path, "bench/")) {
     return;
   }
-  if (!includes_registry(f)) {
+  const std::size_t main_pos = find_token(f.code_text, "int main(");
+  if (main_pos == std::string::npos ||
+      find_token(f.code_text, "scaled_options") != std::string::npos ||
+      find_token(f.code_text, "time_scale_from_env") != std::string::npos) {
     return;
   }
-  static const std::vector<std::string> kMethods = {
-      "counter(",   "gauge(",     "stat(",
-      "histogram(", "time_weighted(", "bucket_counter(",
-  };
-  const std::string& text = f.code_text;
-  for (const std::string& method : kMethods) {
-    std::size_t pos = 0;
-    while ((pos = find_token(text, method, pos)) != std::string::npos) {
-      const std::size_t call_pos = pos;
-      pos += method.size();
-      // Member calls only: `reg.counter(`, `scope->stat(`. A free function
-      // or declaration with the same tail is not a registration site.
-      if (call_pos == 0 ||
-          (text[call_pos - 1] != '.' && text[call_pos - 1] != '>')) {
-        continue;
-      }
-      std::size_t arg = call_pos + method.size();
-      while (arg < text.size() && (text[arg] == ' ' || text[arg] == '\n')) {
-        ++arg;
-      }
-      if (arg < text.size() && text[arg] == '"') {
-        continue;  // string-literal stable name
-      }
-      add(out, f, f.line_of(call_pos), "registry-name",
-          "obs::Registry registration must pass a string-literal stable name; "
-          "the sanctioned composed parts are the Scope prefixes and "
-          "bucket_counter's bucket suffix, both produced inside the registry");
-    }
-  }
+  add(out, f, f.line_of(main_pos), "bench-time-scale",
+      "bench defines main() without honoring HLS_TIME_SCALE; call "
+      "bench::scaled_options() (or time_scale_from_env()) so quick figure "
+      "runs scale down");
 }
 
 }  // namespace
@@ -710,7 +676,7 @@ void check_text_rules(const SourceFile& f, std::vector<Finding>& out) {
   rule_float_eq(f, out);
   rule_unordered_iter(f, out);
   rule_callback_epoch(f, out);
-  rule_registry_name(f, out);
+  rule_bench_time_scale(f, out);
 }
 
 }  // namespace hlslint

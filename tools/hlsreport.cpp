@@ -74,9 +74,14 @@ struct JsonValue {
   std::vector<JsonValue> array;
 };
 
+/// Containers nest at most this deep. Run artifacts nest 5 deep; the cap
+/// keeps parse_value's recursion, and the stack, bounded on any input.
+constexpr int kMaxJsonDepth = 256;
+
 struct JsonParser {
   const std::string& text;
   std::size_t pos = 0;
+  int depth = 0;  ///< containers open at pos
   std::string error;
 
   explicit JsonParser(const std::string& t) : text(t) {}
@@ -142,6 +147,10 @@ struct JsonParser {
     skip_ws();
     if (pos >= text.size()) return fail("unexpected end of input");
     const char c = text[pos];
+    if ((c == '{' || c == '[') && depth == kMaxJsonDepth) {
+      return fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                  " levels");
+    }
     if (c == '{') {
       ++pos;
       out->kind = JsonValue::Kind::Object;
@@ -150,6 +159,7 @@ struct JsonParser {
         ++pos;
         return true;
       }
+      ++depth;
       while (true) {
         std::string key;
         if (!parse_string(&key)) return false;
@@ -162,6 +172,7 @@ struct JsonParser {
           ++pos;
           continue;
         }
+        --depth;
         return expect('}');
       }
     }
@@ -173,6 +184,7 @@ struct JsonParser {
         ++pos;
         return true;
       }
+      ++depth;
       while (true) {
         JsonValue child;
         if (!parse_value(&child)) return false;
@@ -182,6 +194,7 @@ struct JsonParser {
           ++pos;
           continue;
         }
+        --depth;
         return expect(']');
       }
     }
@@ -636,6 +649,17 @@ int cmd_selftest() {
   HLSREPORT_CHECK(esc->object.at(0).second.str == "a\"b\\c\nd");
   HLSREPORT_CHECK(!parse_json("{\"k\":}", &error).has_value());
   HLSREPORT_CHECK(!parse_json("{} trailing", &error).has_value());
+
+  // Nesting is capped, so a deep document is an error, not a stack overflow.
+  const auto nested = [](int levels) {
+    return std::string(static_cast<std::size_t>(levels), '[') +
+           std::string(static_cast<std::size_t>(levels), ']');
+  };
+  HLSREPORT_CHECK(parse_json(nested(kMaxJsonDepth), &error).has_value());
+  HLSREPORT_CHECK(!parse_json(nested(kMaxJsonDepth + 1), &error).has_value());
+  HLSREPORT_CHECK(error.find("nesting deeper than 256 levels") !=
+                  std::string::npos);
+  HLSREPORT_CHECK(!parse_json(std::string(50000, '['), &error).has_value());
 
   // Diff: identical docs produce no rows; a changed value produces one; a
   // key on one side is always a violation.
