@@ -64,9 +64,9 @@ Timed run_layer(Layer layer, int inner, const hls::SystemConfig& base,
     obs::RingSink ring(4096);
     RunOptions run_opts = opts;
     if (layer == Layer::Ring) {
-      run_opts.trace_sink = &ring;
+      run_opts.sinks.push_back(&ring);
     } else if (layer == Layer::Csv) {
-      run_opts.trace_sink = &csv_sink;
+      run_opts.sinks.push_back(&csv_sink);
     }
     const double t0 = cpu_now();
     const RunResult r =

@@ -63,15 +63,14 @@ int main(int argc, char** argv) {
       return 1;
     }
     csv = std::make_unique<obs::CsvSink>(trace_file);
-    opts.trace_sink = csv.get();
+    opts.sinks.push_back(csv.get());
   }
 
-  // Sink 2: last 12 faults/aborts only, kept in memory. Attached via
-  // RunOptions when no CSV file was requested (the driver takes one sink;
-  // HybridSystem::add_trace_sink accepts any number when driving manually).
+  // Sink 2: last 12 faults/aborts only, kept in memory, in sink 1's place
+  // when no CSV file was requested.
   obs::RingSink incidents(12, obs::kind_bit(obs::EventKind::Fault) |
                                   obs::kind_bit(obs::EventKind::Abort));
-  if (opts.trace_sink == nullptr) opts.trace_sink = &incidents;
+  if (!csv) opts.sinks.push_back(&incidents);
 
   // Sink 3: the Perfetto span exporter, routed through the config's span
   // sink spec so this example exercises the same path the driver offers
@@ -84,7 +83,7 @@ int main(int argc, char** argv) {
     cfg.obs_span_sink = std::string("perfetto:") + argv[3];
   }
   ReportCollector collector(cfg.report_top_k);
-  opts.extra_sinks.push_back(&collector);
+  opts.sinks.push_back(&collector);
 
   const StrategySpec spec{StrategyKind::MinAverageNsys, 0.0,
                           /*failure_aware=*/true};

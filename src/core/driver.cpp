@@ -28,10 +28,7 @@ RunResult run_simulation(const SystemConfig& config,
 
   HybridSystem system(config, std::move(strategy));
   result.strategy_name = system.strategy().name();
-  if (options.trace_sink != nullptr) {
-    system.add_trace_sink(options.trace_sink);
-  }
-  for (obs::TraceSink* sink : options.extra_sinks) {
+  for (obs::TraceSink* sink : options.sinks) {
     system.add_trace_sink(sink);
   }
 

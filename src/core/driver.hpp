@@ -18,12 +18,10 @@ namespace hls {
 struct RunOptions {
   double warmup_seconds = 200.0;   ///< discarded transient
   double measure_seconds = 1200.0; ///< measurement window
-  /// Optional trace sink (obs/sink.hpp) registered for the whole run,
-  /// warmup included. Borrowed, not owned; may be null.
-  obs::TraceSink* trace_sink = nullptr;
-  /// Further borrowed sinks, registered after trace_sink (e.g. a
-  /// ReportCollector riding along with a CSV exporter).
-  std::vector<obs::TraceSink*> extra_sinks;
+  /// Trace sinks (obs/sink.hpp) registered in order for the whole run,
+  /// warmup included, ahead of the config's obs_span_sink. Borrowed, not
+  /// owned.
+  std::vector<obs::TraceSink*> sinks;
 };
 
 struct RunResult {

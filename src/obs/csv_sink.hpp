@@ -1,9 +1,10 @@
 // CSV trace sink: one structured row per event, all kinds in one stream.
 //
 // The format is self-describing (a `kind` discriminator column plus the
-// union of all kind fields); unlike the legacy core/trace.cpp completion
-// format it also carries aborts, faults, samples and the per-phase
-// breakdown. Readers filter on the first column.
+// union of all kind fields): completions and aborts with their per-phase
+// breakdown and abort provenance, faults and samples. Readers filter on the
+// first column; a completion trace is this sink masked to Completion and
+// Abort.
 #pragma once
 
 #include <cstdint>

@@ -4,13 +4,18 @@
 
 #include <sstream>
 
-#include "core/trace.hpp"
+#include "obs/csv_sink.hpp"
 #include "obs/perfetto_sink.hpp"
 #include "obs/ring_sink.hpp"
 #include "routing/basic_strategies.hpp"
 
 namespace hls {
 namespace {
+
+/// The completion trace the faulted replays compare: every completion and
+/// every abort, with its cause, winner and wasted work.
+constexpr unsigned kTraceKinds = obs::kind_bit(obs::EventKind::Completion) |
+                                 obs::kind_bit(obs::EventKind::Abort);
 
 SystemConfig quiet_config() {
   SystemConfig cfg;
@@ -168,8 +173,8 @@ TEST(TraceReplay, FaultedReplayReproducesCompletionRecordsByteForByte) {
   auto run_once = [&](bool with_ring_observer) {
     HybridSystem sys(cfg, std::make_unique<AlwaysCentralStrategy>());
     std::ostringstream out;
-    TraceWriter writer(out);
-    writer.attach(sys);
+    obs::CsvSink writer(out, kTraceKinds);
+    sys.add_trace_sink(&writer);
     obs::RingSink ring(4);  // deliberately tiny: wraps, reads, changes nothing
     if (with_ring_observer) {
       sys.add_trace_sink(&ring);
@@ -177,12 +182,13 @@ TEST(TraceReplay, FaultedReplayReproducesCompletionRecordsByteForByte) {
     replay_trace(sys, *trace);
     sys.simulator().run();
     EXPECT_EQ(sys.live_transactions(), 0);
+    writer.flush();
     return out.str();
   };
 
   const std::string first = run_once(false);
   const std::string second = run_once(true);
-  EXPECT_GT(first.size(), std::string(TraceWriter::header()).size());
+  EXPECT_GT(first.size(), std::string(obs::CsvSink::header()).size());
   EXPECT_EQ(first, second);
   // The run actually exercised the fault machinery.
   EXPECT_NE(first.find(",central,"), std::string::npos);
@@ -217,8 +223,8 @@ TEST(TraceReplay, FaultedReplayUnchangedByPerfettoSpanSink) {
   auto run_once = [&](bool with_span_sink) {
     HybridSystem sys(cfg, std::make_unique<AlwaysCentralStrategy>());
     std::ostringstream out;
-    TraceWriter writer(out);
-    writer.attach(sys);
+    obs::CsvSink writer(out, kTraceKinds);
+    sys.add_trace_sink(&writer);
     std::ostringstream json;
     obs::PerfettoSink perfetto(json);
     if (with_span_sink) {
@@ -227,6 +233,7 @@ TEST(TraceReplay, FaultedReplayUnchangedByPerfettoSpanSink) {
     replay_trace(sys, *trace);
     sys.simulator().run();
     perfetto.close();
+    writer.flush();
     EXPECT_EQ(sys.live_transactions(), 0);
     return Outputs{out.str(), json.str()};
   };

@@ -6,7 +6,7 @@
 #include <sstream>
 #include <tuple>
 
-#include "core/trace.hpp"
+#include "hybrid/hybrid_system.hpp"
 #include "model/params.hpp"
 #include "obs/csv_sink.hpp"
 #include "obs/ring_sink.hpp"
@@ -14,6 +14,11 @@
 
 namespace hls {
 namespace {
+
+/// The completion trace a fingerprint compares: every completion and every
+/// abort, with its cause, winner and wasted work.
+constexpr unsigned kTraceKinds = obs::kind_bit(obs::EventKind::Completion) |
+                                 obs::kind_bit(obs::EventKind::Abort);
 
 struct RunFingerprint {
   std::uint64_t events = 0;
@@ -34,12 +39,13 @@ RunFingerprint fingerprint(std::uint64_t seed, StrategyKind kind) {
   HybridSystem sys(cfg,
                    make_strategy({kind, 0.0}, ModelParams::from_config(cfg), seed));
   std::ostringstream trace_out;
-  TraceWriter writer(trace_out);
-  writer.attach(sys);
+  obs::CsvSink writer(trace_out, kTraceKinds);
+  sys.add_trace_sink(&writer);
   sys.enable_arrivals();
   sys.run_for(100.0);
   sys.stop_arrivals();
   sys.drain();
+  writer.flush();
   RunFingerprint fp;
   fp.events = sys.simulator().executed_events();
   fp.completions = sys.metrics().completions;
@@ -135,12 +141,13 @@ TEST(DeterminismTest, SamplerDoesNotPerturbMetrics) {
     HybridSystem sys(cfg, make_strategy({StrategyKind::MinAverageNsys, 0.0},
                                         ModelParams::from_config(cfg), 10));
     std::ostringstream trace_out;
-    TraceWriter writer(trace_out);
-    writer.attach(sys);
+    obs::CsvSink writer(trace_out, kTraceKinds);
+    sys.add_trace_sink(&writer);
     sys.enable_arrivals();
     sys.run_for(60.0);
     sys.stop_arrivals();
     sys.drain();
+    writer.flush();
     return std::make_tuple(sys.metrics().completions,
                            sys.metrics().rt_all.sum(),
                            sys.metrics().aborts_total(), trace_out.str());

@@ -1,15 +1,19 @@
-// Trace-sink implementations: ring buffer semantics, CSV shape, and the
-// kind-mask filtering contract shared by all sinks.
+// Trace-sink implementations: ring buffer semantics, CSV shape, the
+// kind-mask filtering contract shared by all sinks, and sinks registered on
+// a running system.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "hybrid/hybrid_system.hpp"
 #include "obs/csv_sink.hpp"
 #include "obs/ring_sink.hpp"
 #include "obs/sample.hpp"
 #include "obs/sink.hpp"
+#include "routing/basic_strategies.hpp"
 
 namespace hls::obs {
 namespace {
@@ -136,6 +140,57 @@ TEST(CsvSink, RowsCarryKindDiscriminatorAndPayload) {
   const std::string text = out.str();
   EXPECT_NE(text.find("\nfault,3.25,"), std::string::npos);
   EXPECT_NE(text.find(",-1,0,"), std::string::npos);  // site,up columns
+}
+
+TEST(TraceSink, CompletionEventsMatchMetrics) {
+  SystemConfig cfg;
+  cfg.arrival_rate_per_site = 2.0;
+  cfg.seed = 3;
+  HybridSystem sys(cfg, std::make_unique<StaticProbabilisticStrategy>(0.5, 3));
+  RingSink sink(4096, kind_bit(EventKind::Completion));
+  sys.add_trace_sink(&sink);
+  sys.enable_arrivals();
+  sys.run_for(60.0);
+  sys.stop_arrivals();
+  sys.drain();
+  ASSERT_EQ(sink.dropped(), 0u);
+  double rt_sum = 0.0;
+  std::uint64_t n = 0;
+  for (const Event& e : sink.events()) {
+    rt_sum += e.response_time;
+    ++n;
+    EXPECT_GE(e.response_time, 0.0);
+    EXPECT_NEAR(e.time - e.arrival_time, e.response_time, 1e-9);
+    EXPECT_GE(e.runs, 1);
+  }
+  EXPECT_EQ(n, sys.metrics().completions);
+  EXPECT_NEAR(rt_sum / static_cast<double>(n), sys.metrics().rt_all.mean(),
+              1e-9);
+}
+
+TEST(TraceSink, RemovedSinkStopsReceiving) {
+  SystemConfig cfg;
+  cfg.arrival_rate_per_site = 0.0;
+  HybridSystem sys(cfg, std::make_unique<AlwaysLocalStrategy>());
+  RingSink first(8, kind_bit(EventKind::Completion));
+  RingSink second(8, kind_bit(EventKind::Completion));
+  sys.add_trace_sink(&first);
+  sys.add_trace_sink(&second);
+  sys.inject(TxnClass::A, 0);
+  sys.simulator().run();
+  EXPECT_EQ(first.total_seen(), 1u);
+  EXPECT_EQ(second.total_seen(), 1u);
+  // Removing one sink stops its deliveries and leaves the other's intact.
+  sys.remove_trace_sink(&first);
+  sys.inject(TxnClass::A, 0);
+  sys.simulator().run();
+  EXPECT_EQ(first.total_seen(), 1u);
+  EXPECT_EQ(second.total_seen(), 2u);
+  sys.remove_trace_sink(&second);
+  sys.inject(TxnClass::A, 0);
+  sys.simulator().run();
+  EXPECT_EQ(second.total_seen(), 2u);
+  EXPECT_EQ(sys.metrics().completions, 3u);
 }
 
 TEST(WriteSeriesCsv, FlattensPerSiteColumnsAndPrefixesRows) {

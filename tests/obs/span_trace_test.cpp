@@ -4,12 +4,18 @@
 // simulation's timing.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/driver.hpp"
 #include "hybrid/hybrid_system.hpp"
+#include "json.hpp"
 #include "obs/event.hpp"
 #include "obs/perfetto_sink.hpp"
 #include "obs/ring_sink.hpp"
@@ -140,6 +146,80 @@ TEST(SpanTrace, RetryChainCarriesRunNumbersAndRetryEdge) {
 
 // ---- Perfetto exporter ----
 
+const JsonValue* member(const JsonValue& object, const std::string& key) {
+  for (const auto& [name, value] : object.object) {
+    if (name == key) return &value;
+  }
+  return nullptr;
+}
+
+bool whole_number(const JsonValue* v) {
+  return v != nullptr && v->kind == JsonValue::Kind::Number &&
+         std::isfinite(v->number) && std::trunc(v->number) == v->number;
+}
+
+/// The first way `doc` breaks what Perfetto UI and chrome://tracing need of
+/// a trace-event document, or "" when it breaks none: traceEvents is an
+/// array; each record has ph, pid and tid, and ph is one of B E i s f M C;
+/// ts is a whole number on every record but M, and so are pid and tid;
+/// every C record has a numeric args.value; every E closes the latest open
+/// B on its (pid, tid), no earlier than it; and no B is left open.
+std::string perfetto_violation(const std::string& doc) {
+  std::string error;
+  const std::optional<JsonValue> root = parse_json(doc, &error);
+  if (!root.has_value()) return "not JSON: " + error;
+  const JsonValue* events = member(*root, "traceEvents");
+  if (events == nullptr || events->kind != JsonValue::Kind::Array) {
+    return "traceEvents is missing or not an array";
+  }
+  // Timestamps of the B records still open, per (pid, tid).
+  std::map<std::pair<double, double>, std::vector<double>> open;
+  for (std::size_t i = 0; i < events->array.size(); ++i) {
+    const JsonValue& record = events->array[i];
+    const std::string at = "record " + std::to_string(i) + ": ";
+    const JsonValue* ph = member(record, "ph");
+    const JsonValue* pid = member(record, "pid");
+    const JsonValue* tid = member(record, "tid");
+    if (ph == nullptr || pid == nullptr || tid == nullptr) {
+      return at + "lacks ph, pid or tid";
+    }
+    if (ph->kind != JsonValue::Kind::String || ph->str.size() != 1 ||
+        std::string("BEisfMC").find(ph->str) == std::string::npos) {
+      return at + "ph is not one of B E i s f M C";
+    }
+    const JsonValue* ts = member(record, "ts");
+    if (ph->str != "M" && !whole_number(ts)) {
+      return at + "ts is missing or not a whole number";
+    }
+    if (!whole_number(pid) || !whole_number(tid)) {
+      return at + "pid or tid is not a whole number";
+    }
+    if (ph->str == "C") {
+      const JsonValue* args = member(record, "args");
+      const JsonValue* value = args == nullptr ? nullptr : member(*args, "value");
+      if (value == nullptr || value->kind != JsonValue::Kind::Number) {
+        return at + "C record without a numeric args.value";
+      }
+    }
+    if (ph->str == "B") {
+      open[{pid->number, tid->number}].push_back(ts->number);
+    } else if (ph->str == "E") {
+      std::vector<double>& stack = open[{pid->number, tid->number}];
+      if (stack.empty()) return at + "E without an open B on its pid and tid";
+      if (ts->number < stack.back()) return at + "E earlier than its B";
+      stack.pop_back();
+    }
+  }
+  for (const auto& [track, stack] : open) {
+    if (!stack.empty()) {
+      return std::to_string(stack.size()) + " B record(s) never closed on pid " +
+             std::to_string(static_cast<long long>(track.first)) + " tid " +
+             std::to_string(static_cast<long long>(track.second));
+    }
+  }
+  return "";
+}
+
 std::string perfetto_run(double extra_io = 0.0) {
   SystemConfig cfg = quiet_config();
   if (extra_io > 0.0) {
@@ -162,16 +242,43 @@ TEST(SpanTrace, PerfettoDocumentIsStructurallySound) {
   const std::string doc = perfetto_run();
   EXPECT_EQ(doc.rfind("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", 0), 0u);
   EXPECT_EQ(doc.substr(doc.size() - 3), "]}\n");
-  // Every duration begin has exactly one end, and the process-name metadata
-  // for the central complex (pid 0) was appended at close().
+  EXPECT_EQ(perfetto_violation(doc), "");
+  // Spans were written, every flow start has its finish, no timestamp is
+  // negative, and the process-name metadata for the central complex (pid 0)
+  // was appended at close().
   EXPECT_GT(count_substr(doc, "\"ph\":\"B\""), 0);
-  EXPECT_EQ(count_substr(doc, "\"ph\":\"B\""), count_substr(doc, "\"ph\":\"E\""));
   EXPECT_EQ(count_substr(doc, "\"ph\":\"s\""), count_substr(doc, "\"ph\":\"f\""));
+  EXPECT_EQ(doc.find("\"ts\":-"), std::string::npos);
   EXPECT_GT(count_substr(doc, "\"ph\":\"M\""), 0);
   EXPECT_NE(doc.find("central"), std::string::npos);
-  // No unsupported phase letters and no floating-point timestamps.
-  EXPECT_EQ(doc.find("\"ts\":-"), std::string::npos);
-  EXPECT_EQ(doc.find("nan"), std::string::npos);
+}
+
+TEST(SpanTrace, FaultedRunExportIsStructurallySound) {
+  // trace_inspector's run, shortened: curve F with the failsafe, ship
+  // timeouts and a central outage, so the export carries aborts, retries,
+  // faults and sampler counters as well as clean spans.
+  SystemConfig cfg;
+  cfg.seed = 20260805;
+  cfg.arrival_rate_per_site = 2.2;
+  cfg.obs_sample_interval = 5.0;
+  cfg.ship_timeout = 2.0;
+  cfg.faults.windows.push_back({FaultKind::CentralOutage, -1, 10.0, 5.0, 1.0, 0.0});
+  std::ostringstream out;
+  obs::PerfettoSink sink(out);
+  RunOptions opts;
+  opts.warmup_seconds = 0.0;
+  opts.measure_seconds = 30.0;
+  opts.sinks.push_back(&sink);
+  const RunResult r = run_simulation(
+      cfg, {StrategyKind::MinAverageNsys, 0.0, /*failure_aware=*/true}, opts);
+  sink.close();
+  EXPECT_GT(r.metrics.ship_timeouts(), 0u);
+  EXPECT_GT(sink.spans_written(), 0u);
+  EXPECT_GT(sink.edges_written(), 0u);
+  EXPECT_GT(sink.counters_written(), 0u);
+  const std::string doc = out.str();
+  EXPECT_NE(doc.find("\"name\":\"crash\""), std::string::npos);
+  EXPECT_EQ(perfetto_violation(doc), "");
 }
 
 TEST(SpanTrace, PerfettoExportIsByteDeterministic) {
