@@ -1,14 +1,21 @@
 #!/usr/bin/env bash
 # Repo health check: configure, build, full test suite, a parallel-harness
-# determinism smoke, the sanitize-labelled suites under AddressSanitizer and
+# determinism smoke, a benchmark-harness smoke against the pinned digests,
+# the sanitize-labelled suites under AddressSanitizer and
 # UndefinedBehaviorSanitizer, and a ThreadSanitizer pass over the task pool
 # and the sweep harness. Intended as the pre-merge gate; from empty build
 # directories (Ninja) it took 7 min 34 s and 7 min 37 s in two runs on 4
-# vCPUs at the last measurement.
+# vCPUs at the last measurement, before the perfbench stage was added.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# BUILD_DIR names the tier-1 tree; check.sh never configures it. Every tree
+# the gate builds is named after it: the -Werror build in "$BUILD-gate",
+# the instrumented ones in "$BUILD-cov", "$BUILD-asan" and "$BUILD-tsan",
+# and the benchmark harness in "$BUILD-perfbench". CMake caches options per
+# tree, so none of the gate's flags stay behind in the tier-1 tree.
 BUILD=${BUILD_DIR:-build}
+GATE="${BUILD}-gate"
 
 # --coverage: standalone mode. Build an instrumented tree, run the full test
 # suite, aggregate gcov line coverage over src/, and fail if it fell below
@@ -74,11 +81,11 @@ mark build
 # tree keeps the one it was made with (CMAKE_GENERATOR picks it for a new
 # tree), and every build names its job count: under make, a bare -j has no
 # limit.
-cmake -B "$BUILD" -DHLS_WERROR=ON -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
-cmake --build "$BUILD" -j "$(nproc)"
+cmake -B "$GATE" -DHLS_WERROR=ON -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
+cmake --build "$GATE" -j "$(nproc)"
 
 mark test
-ctest --test-dir "$BUILD" -j"$(nproc)" --output-on-failure
+ctest --test-dir "$GATE" -j"$(nproc)" --output-on-failure
 
 mark lint
 # Project lint: layering, determinism, convention, callback-epoch and bench
@@ -88,7 +95,7 @@ mark lint
 # so a pathological slowdown there would quietly dominate every pre-merge
 # check.
 lint_t0=$(now_ms)
-"./$BUILD/tools/hlslint"
+"./$GATE/tools/hlslint"
 lint_ms=$(( $(now_ms) - lint_t0 ))
 if (( lint_ms > 5000 )); then
   echo "lint: hlslint took ${lint_ms} ms, over the 5 s stage budget" >&2
@@ -103,8 +110,8 @@ mark determinism
 scale=${HLS_TIME_SCALE:-0.02}
 a=$(mktemp) && b=$(mktemp)
 trap 'rm -f "$a" "$b"' EXIT
-HLS_TIME_SCALE=$scale HLS_JOBS=1 "./$BUILD/bench/fig_4_2_dynamic_schemes" >"$a" 2>/dev/null
-HLS_TIME_SCALE=$scale HLS_JOBS=4 "./$BUILD/bench/fig_4_2_dynamic_schemes" >"$b" 2>/dev/null
+HLS_TIME_SCALE=$scale HLS_JOBS=1 "./$GATE/bench/fig_4_2_dynamic_schemes" >"$a" 2>/dev/null
+HLS_TIME_SCALE=$scale HLS_JOBS=4 "./$GATE/bench/fig_4_2_dynamic_schemes" >"$b" 2>/dev/null
 diff -u "$a" "$b"
 echo "determinism smoke: fig_4_2 stdout byte-identical at HLS_JOBS=1 vs 4"
 
@@ -112,14 +119,14 @@ mark fault-smoke
 # Fault-tolerance smoke: a quick outage-sweep run of the fault-injection
 # ablation. The bench itself verifies that every faulted cell drains to zero
 # residency/locks after arrivals stop and exits non-zero otherwise.
-HLS_TIME_SCALE=0.05 "./$BUILD/bench/abl_fault_tolerance" >/dev/null 2>&1
+HLS_TIME_SCALE=0.05 "./$GATE/bench/abl_fault_tolerance" >/dev/null 2>&1
 echo "fault smoke: abl_fault_tolerance drained every faulted cell"
 
 mark adaptive
 # Adaptive-routing gate: the non-stationary ablation self-checks that the
 # abort-provenance controller's class-A response time is no worse than the
 # best hand-picked static threshold, and that every cell drains to zero.
-HLS_TIME_SCALE=0.05 "./$BUILD/bench/abl_adaptive_routing" >/dev/null 2>&1
+HLS_TIME_SCALE=0.05 "./$GATE/bench/abl_adaptive_routing" >/dev/null 2>&1
 echo "adaptive gate: abl_adaptive_routing beat the best static F and drained"
 
 mark chaos
@@ -130,30 +137,30 @@ mark chaos
 # (docs/CHAOS.md). A failing episode is auto-shrunk to a minimal repro
 # config. HLS_CHAOS_EPISODES overrides the default 100 when iterating.
 chaos_episodes=${HLS_CHAOS_EPISODES:-100}
-HLS_CHAOS_EPISODES=$chaos_episodes "./$BUILD/tools/chaos_soak" \
-  --seed=20260808 --shrink-out="$BUILD/chaos_repro.conf" >/dev/null
+HLS_CHAOS_EPISODES=$chaos_episodes "./$GATE/tools/chaos_soak" \
+  --seed=20260808 --shrink-out="$GATE/chaos_repro.conf" >/dev/null
 echo "chaos soak: ${chaos_episodes} episodes passed the full oracle stack"
 
 # The same soak with every episode forced onto the adaptive controller, so
 # its review epochs, backoff and collision-policy flips run under the full
 # chaos oracle stack (drain, conservation, byte-identical replay).
-HLS_CHAOS_EPISODES=$chaos_episodes "./$BUILD/tools/chaos_soak" \
+HLS_CHAOS_EPISODES=$chaos_episodes "./$GATE/tools/chaos_soak" \
   --seed=20260808 --strategy=adapt:min-average-nsys \
-  --shrink-out="$BUILD/chaos_repro_adapt.conf" >/dev/null
+  --shrink-out="$GATE/chaos_repro_adapt.conf" >/dev/null
 echo "chaos soak: ${chaos_episodes} adapt:-forced episodes passed"
 
 # A repro file is user input: a malformed strategy spec in it must be a
 # one-line error and exit status 2, never a crash or a silent run.
-bad_repro="$BUILD/chaos_bad_strategy.conf"
+bad_repro="$GATE/chaos_bad_strategy.conf"
 printf 'chaos_strategy=static:0.3xyz\nchaos_run_seconds=5\n' >"$bad_repro"
 status=0
-"./$BUILD/tools/chaos_soak" --repro="$bad_repro" >/dev/null \
-  2>"$BUILD/chaos_bad_strategy.err" || status=$?
-if [[ $status -ne 2 || $(wc -l <"$BUILD/chaos_bad_strategy.err") -ne 1 ]] ||
-    ! grep -q "'0.3xyz'" "$BUILD/chaos_bad_strategy.err"; then
+"./$GATE/tools/chaos_soak" --repro="$bad_repro" >/dev/null \
+  2>"$GATE/chaos_bad_strategy.err" || status=$?
+if [[ $status -ne 2 || $(wc -l <"$GATE/chaos_bad_strategy.err") -ne 1 ]] ||
+    ! grep -q "'0.3xyz'" "$GATE/chaos_bad_strategy.err"; then
   echo "chaos repro: malformed strategy gave exit $status, expected 2 and one" \
     "line quoting the token:" >&2
-  cat "$BUILD/chaos_bad_strategy.err" >&2
+  cat "$GATE/chaos_bad_strategy.err" >&2
   exit 1
 fi
 echo "chaos repro: malformed strategy spec rejected with exit 2"
@@ -162,17 +169,17 @@ echo "chaos repro: malformed strategy spec rejected with exit 2"
 # reach an HLS_ASSERT and num_sites=2.7 must not run as 2 sites; each is one
 # line naming the key and exit status 2.
 for value in 0 2.7; do
-  bad_repro="$BUILD/chaos_bad_sites.conf"
+  bad_repro="$GATE/chaos_bad_sites.conf"
   printf 'num_sites=%s\nchaos_strategy=static:0.3\nchaos_run_seconds=5\n' \
     "$value" >"$bad_repro"
   status=0
-  "./$BUILD/tools/chaos_soak" --repro="$bad_repro" >/dev/null \
-    2>"$BUILD/chaos_bad_sites.err" || status=$?
-  if [[ $status -ne 2 || $(wc -l <"$BUILD/chaos_bad_sites.err") -ne 1 ]] ||
-      ! grep -q "num_sites" "$BUILD/chaos_bad_sites.err"; then
+  "./$GATE/tools/chaos_soak" --repro="$bad_repro" >/dev/null \
+    2>"$GATE/chaos_bad_sites.err" || status=$?
+  if [[ $status -ne 2 || $(wc -l <"$GATE/chaos_bad_sites.err") -ne 1 ]] ||
+      ! grep -q "num_sites" "$GATE/chaos_bad_sites.err"; then
     echo "chaos repro: num_sites=$value gave exit $status, expected 2 and" \
       "one line naming num_sites:" >&2
-    cat "$BUILD/chaos_bad_sites.err" >&2
+    cat "$GATE/chaos_bad_sites.err" >&2
     exit 1
   fi
 done
@@ -188,12 +195,12 @@ check_bad_value() {  # <status> <argument name> <program> <args...>
   local want=$1 name=$2 prog=$3
   shift 3
   local status=0
-  "./$BUILD/$prog" "$@" >/dev/null 2>"$BUILD/cli_bad_value.err" || status=$?
-  if [[ $status -ne $want || $(wc -l <"$BUILD/cli_bad_value.err") -ne 1 ]] ||
-      ! grep -qF -- "$name" "$BUILD/cli_bad_value.err"; then
+  "./$GATE/$prog" "$@" >/dev/null 2>"$GATE/cli_bad_value.err" || status=$?
+  if [[ $status -ne $want || $(wc -l <"$GATE/cli_bad_value.err") -ne 1 ]] ||
+      ! grep -qF -- "$name" "$GATE/cli_bad_value.err"; then
     echo "$prog $*: gave exit $status, expected $want and one line naming" \
       "$name:" >&2
-    cat "$BUILD/cli_bad_value.err" >&2
+    cat "$GATE/cli_bad_value.err" >&2
     exit 1
   fi
 }
@@ -210,7 +217,7 @@ echo "cli: strategy_explorer --tps=abc/--sites=2.7, quickstart abc/-5," \
 # A document is user input too: 50,000 levels of '[' once overflowed the
 # stack of hlsreport's recursive parser (exit 139). Nesting is capped, and
 # past the cap the document is one line and the parse status 2.
-deep_json="$BUILD/cli_deep.json"
+deep_json="$GATE/cli_deep.json"
 head -c 50000 /dev/zero | tr '\0' '[' >"$deep_json"
 check_bad_value 2 "nesting deeper" tools/hlsreport show "$deep_json"
 echo "cli: hlsreport show rejects a document nested 50,000 levels deep"
@@ -219,7 +226,7 @@ echo "cli: hlsreport show rejects a document nested 50,000 levels deep"
 # HLS_ASSERT abort (exit 134), after the whole run in hlsreport's case. It
 # must be one line naming the path, with hlsreport's I/O status 2 and
 # trace_inspector's 1 (as for its csv path).
-missing_dir="$BUILD/cli_missing_dir"
+missing_dir="$GATE/cli_missing_dir"
 rm -rf "$missing_dir"
 HLS_TIME_SCALE=0.05 check_bad_value 2 "$missing_dir/a.json" tools/hlsreport \
   gen "$missing_dir/a.json"
@@ -231,13 +238,13 @@ echo "cli: hlsreport gen and trace_inspector name an unopenable output path"
 # window endless. It must run at the default scale (about 0.1 s here), with
 # one stderr line naming the variable.
 status=0
-HLS_TIME_SCALE=inf timeout 60 "./$BUILD/examples/trace_inspector" >/dev/null \
-  2>"$BUILD/cli_bad_env.err" || status=$?
-if [[ $status -ne 0 || $(wc -l <"$BUILD/cli_bad_env.err") -ne 1 ]] ||
-    ! grep -q HLS_TIME_SCALE "$BUILD/cli_bad_env.err"; then
+HLS_TIME_SCALE=inf timeout 60 "./$GATE/examples/trace_inspector" >/dev/null \
+  2>"$GATE/cli_bad_env.err" || status=$?
+if [[ $status -ne 0 || $(wc -l <"$GATE/cli_bad_env.err") -ne 1 ]] ||
+    ! grep -q HLS_TIME_SCALE "$GATE/cli_bad_env.err"; then
   echo "HLS_TIME_SCALE=inf trace_inspector: gave exit $status, expected 0 and" \
     "one line naming HLS_TIME_SCALE:" >&2
-  cat "$BUILD/cli_bad_env.err" >&2
+  cat "$GATE/cli_bad_env.err" >&2
   exit 1
 fi
 echo "cli: HLS_TIME_SCALE=inf ran at the default scale with one warning"
@@ -247,14 +254,14 @@ echo "cli: HLS_TIME_SCALE=inf ran at the default scale with one warning"
 # one stderr line naming the variable, and the soak runs as if it were
 # unset (here --episodes=1 sets the count).
 status=0
-HLS_CHAOS_EPISODES=2x "./$BUILD/tools/chaos_soak" --episodes=1 \
-  --shrink-out="$BUILD/chaos_repro_env.conf" >/dev/null \
-  2>"$BUILD/cli_bad_env.err" || status=$?
-if [[ $status -ne 0 || $(wc -l <"$BUILD/cli_bad_env.err") -ne 1 ]] ||
-    ! grep -q HLS_CHAOS_EPISODES "$BUILD/cli_bad_env.err"; then
+HLS_CHAOS_EPISODES=2x "./$GATE/tools/chaos_soak" --episodes=1 \
+  --shrink-out="$GATE/chaos_repro_env.conf" >/dev/null \
+  2>"$GATE/cli_bad_env.err" || status=$?
+if [[ $status -ne 0 || $(wc -l <"$GATE/cli_bad_env.err") -ne 1 ]] ||
+    ! grep -q HLS_CHAOS_EPISODES "$GATE/cli_bad_env.err"; then
   echo "HLS_CHAOS_EPISODES=2x chaos_soak --episodes=1: gave exit $status," \
     "expected 0 and one line naming HLS_CHAOS_EPISODES:" >&2
-  cat "$BUILD/cli_bad_env.err" >&2
+  cat "$GATE/cli_bad_env.err" >&2
   exit 1
 fi
 echo "cli: HLS_CHAOS_EPISODES=2x rejected with one warning"
@@ -266,8 +273,8 @@ mark trace
 # structure (record fields, B/E pairing per track, whole-number timestamps)
 # is asserted by SpanTrace.FaultedRunExportIsStructurallySound.
 trace_json=$(mktemp)
-HLS_TIME_SCALE=0.2 "./$BUILD/examples/trace_inspector" 2.2 - "$trace_json" >/dev/null
-"./$BUILD/tools/hlsreport" show "$trace_json" >/dev/null
+HLS_TIME_SCALE=0.2 "./$GATE/examples/trace_inspector" 2.2 - "$trace_json" >/dev/null
+"./$GATE/tools/hlsreport" show "$trace_json" >/dev/null
 rm -f "$trace_json"
 echo "trace smoke: perfetto export parses end to end"
 
@@ -279,11 +286,11 @@ mark artifact
 # After an intended metrics change, re-pin with:
 #   HLS_TIME_SCALE=0.05 ./build/tools/hlsreport gen scripts/artifact_baseline.json
 art_a=$(mktemp) && art_b=$(mktemp)
-HLS_TIME_SCALE=0.05 HLS_JOBS=1 "./$BUILD/tools/hlsreport" gen "$art_a" >/dev/null
-HLS_TIME_SCALE=0.05 HLS_JOBS=4 "./$BUILD/tools/hlsreport" gen "$art_b" >/dev/null
+HLS_TIME_SCALE=0.05 HLS_JOBS=1 "./$GATE/tools/hlsreport" gen "$art_a" >/dev/null
+HLS_TIME_SCALE=0.05 HLS_JOBS=4 "./$GATE/tools/hlsreport" gen "$art_b" >/dev/null
 cmp "$art_a" "$art_b"
-"./$BUILD/tools/hlsreport" diff "$art_a" "$art_a" --gate >/dev/null
-"./$BUILD/tools/hlsreport" diff scripts/artifact_baseline.json "$art_a" --gate
+"./$GATE/tools/hlsreport" diff "$art_a" "$art_a" --gate >/dev/null
+"./$GATE/tools/hlsreport" diff scripts/artifact_baseline.json "$art_a" --gate
 rm -f "$art_a" "$art_b"
 echo "artifact gate: canonical artifact HLS_JOBS-invariant, matches baseline"
 
@@ -294,7 +301,7 @@ mark perf
 # order-of-magnitude kernel regression). Full time scale: at bench scales
 # the run is sub-millisecond and the rate would be pure noise.
 floor=250000
-rate=$(HLS_TIME_SCALE=1 "./$BUILD/bench/micro_kernel" --large-only 2>/dev/null |
+rate=$(HLS_TIME_SCALE=1 "./$GATE/bench/micro_kernel" --large-only 2>/dev/null |
   awk -F, '$1 == "csv" && $2 == "100" { r = int($7) } END { print r + 0 }')
 if [ "$rate" -lt "$floor" ]; then
   echo "perf smoke: micro_kernel 100-site rate ${rate} events/s below floor ${floor}" >&2
@@ -302,13 +309,44 @@ if [ "$rate" -lt "$floor" ]; then
 fi
 echo "perf smoke: micro_kernel 100-site ${rate} events/s (floor ${floor})"
 
+mark perfbench
+# Benchmark-harness smoke. perfbench/ wraps library calls by mangled name
+# (GNU ld --wrap) and fails a run whose hook records no calls, so a changed
+# signature of a wrapped function passes every stage above and would first
+# fail in the benchmark. Build both programs in their own Release tree and
+# run every pinned workload in each for one second against its seed-1
+# digests from perfbench/pins.json (read here with awk: no Python). The last
+# stdout line of a run is its JSON summary; anything but "failed":0 there
+# fails the stage with the run's problems.
+PERF_BUILD="${BUILD}-perfbench"
+cmake -S perfbench -B "$PERF_BUILD" -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build "$PERF_BUILD" -j "$(nproc)" --target hlsbench hlsbench_traced
+pinned() {  # <workload> <probe|full>; no argument: the pinned workloads
+  awk -F'"' -v w="${1:-}" -v k="${2:-}" '
+    $3 ~ /^: *\{/ { cur = $2; if (w == "") print cur; next }
+    w != "" && cur == w && $2 == k { print $4 }' perfbench/pins.json
+}
+for workload in $(pinned); do
+  for prog in hlsbench hlsbench_traced; do
+    summary=$("./$PERF_BUILD/$prog" --workload "$workload" --seed 1 \
+      --seconds 1 --expect-probe "$(pinned "$workload" probe)" \
+      --expect-full "$(pinned "$workload" full)" 2>/dev/null | tail -n 1)
+    if [[ "$summary" != *'"failed":0,'* ]]; then
+      echo "perfbench: $prog $workload failed:" >&2
+      grep -o '"problems":\[[^]]*\]' <<<"$summary" >&2 || echo "$summary" >&2
+      exit 1
+    fi
+  done
+done
+echo "perfbench: $(pinned | wc -l) workloads matched their pins in both programs"
+
 # A sanitizer stage is skipped only when the toolchain cannot compile and
 # link a one-line program with the stage's -fsanitize flag. Past that probe,
 # the configure, the build and every run fail the gate, and a failed build
 # prints its output.
 sanitizer_links() {  # <-fsanitize value>
   echo 'int main() { return 0; }' |
-    "${CXX:-c++}" -fsanitize="$1" -x c++ - -o "$BUILD/sanitizer_probe" \
+    "${CXX:-c++}" -fsanitize="$1" -x c++ - -o "$GATE/sanitizer_probe" \
       >/dev/null 2>&1
 }
 sanitizer_build() {  # <build dir> <HLS_SANITIZE value> <targets...>
@@ -363,7 +401,7 @@ mark tidy
 # is not on PATH (it is not part of the baked-in toolchain).
 if command -v clang-tidy >/dev/null 2>&1; then
   find src -name '*.cpp' -print0 |
-    xargs -0 -P "$(nproc)" -n 4 clang-tidy -p "$BUILD" --quiet
+    xargs -0 -P "$(nproc)" -n 4 clang-tidy -p "$GATE" --quiet
   echo "tidy: clang-tidy clean over src/"
 else
   echo "tidy: clang-tidy not on PATH; skipped (install LLVM tools to enable)"

@@ -51,20 +51,12 @@ TxnId CentralizedSystem::inject(TxnClass cls, int site) {
   return id;
 }
 
-Transaction* CentralizedSystem::find(TxnId id, std::uint64_t epoch) {
-  auto it = live_.find(id);
-  return (it == live_.end() || it->second->epoch != epoch) ? nullptr
-                                                           : it->second.get();
-}
-
 void CentralizedSystem::admit(Transaction txn) {
   ++metrics_.arrivals;
-  auto owned = std::make_unique<Transaction>(std::move(txn));
-  Transaction* t = owned.get();
-  HLS_ASSERT(live_.emplace(t->id, std::move(owned)).second, "duplicate txn id");
+  Transaction* t = arena_.adopt(std::move(txn));
   // Input message travels terminal -> central.
-  sim_.schedule_after(cfg_.comm_delay, [this, id = t->id, epoch = t->epoch] {
-    if (Transaction* txn2 = find(id, epoch)) {
+  sim_.schedule_after(cfg_.comm_delay, [this, ticket = t->ticket] {
+    if (Transaction* txn2 = arena_.find(ticket)) {
       start_run(txn2);
     }
   });
@@ -72,8 +64,8 @@ void CentralizedSystem::admit(Transaction txn) {
 
 void CentralizedSystem::start_run(Transaction* txn) {
   cpu_->submit(cfg_.central_cpu_seconds(cfg_.instr_msg_init),
-               [this, id = txn->id, epoch = txn->epoch] {
-                 if (Transaction* t = find(id, epoch)) {
+               [this, ticket = txn->ticket] {
+                 if (Transaction* t = arena_.find(ticket)) {
                    after_init(t);
                  }
                });
@@ -84,8 +76,8 @@ void CentralizedSystem::after_init(Transaction* txn) {
     do_call(txn);
     return;
   }
-  sim_.schedule_after(cfg_.setup_io_time, [this, id = txn->id, epoch = txn->epoch] {
-    if (Transaction* t = find(id, epoch)) {
+  sim_.schedule_after(cfg_.setup_io_time, [this, ticket = txn->ticket] {
+    if (Transaction* t = arena_.find(ticket)) {
       do_call(t);
     }
   });
@@ -97,8 +89,8 @@ void CentralizedSystem::do_call(Transaction* txn) {
     return;
   }
   cpu_->submit(cfg_.central_cpu_seconds(cfg_.instr_per_call),
-               [this, id = txn->id, epoch = txn->epoch] {
-                 if (Transaction* t = find(id, epoch)) {
+               [this, ticket = txn->ticket] {
+                 if (Transaction* t = arena_.find(ticket)) {
                    after_call_cpu(t);
                  }
                });
@@ -108,8 +100,8 @@ void CentralizedSystem::after_call_cpu(Transaction* txn) {
   const LockNeed& need = txn->locks[txn->call_index];
   const auto outcome =
       locks_->request(txn->id, need.id, need.mode,
-                      [this, id = txn->id, epoch = txn->epoch] {
-                        if (Transaction* t = find(id, epoch)) {
+                      [this, ticket = txn->ticket] {
+                        if (Transaction* t = arena_.find(ticket)) {
                           lock_granted(t);
                         }
                       });
@@ -132,8 +124,8 @@ void CentralizedSystem::lock_granted(Transaction* txn) {
   ++txn->call_index;
   if (do_io) {
     sim_.schedule_after(cfg_.call_io_time,
-                        [this, id = txn->id, epoch = txn->epoch] {
-                          if (Transaction* t = find(id, epoch)) {
+                        [this, ticket = txn->ticket] {
+                          if (Transaction* t = arena_.find(ticket)) {
                             do_call(t);
                           }
                         });
@@ -144,8 +136,8 @@ void CentralizedSystem::lock_granted(Transaction* txn) {
 
 void CentralizedSystem::commit(Transaction* txn) {
   cpu_->submit(cfg_.central_cpu_seconds(cfg_.instr_msg_commit),
-               [this, id = txn->id, epoch = txn->epoch] {
-                 if (Transaction* t = find(id, epoch)) {
+               [this, ticket = txn->ticket] {
+                 if (Transaction* t = arena_.find(ticket)) {
                    finish(t);
                  }
                });
@@ -158,13 +150,13 @@ void CentralizedSystem::finish(Transaction* txn) {
   metrics_.rt_all.add(rt);
   (txn->cls == TxnClass::A ? metrics_.rt_class_a : metrics_.rt_class_b).add(rt);
   ++metrics_.completions;
-  live_.erase(txn->id);
+  arena_.release(txn->id);
 }
 
 void CentralizedSystem::abort_rerun(Transaction* txn) {
   locks_->release_all(txn->id);
   ++txn->run_count;
-  ++txn->epoch;
+  ++txn->ticket.generation;
   txn->call_index = 0;
   HLS_ASSERT(txn->run_count <= cfg_.max_reruns, "centralized baseline livelock");
   start_run(txn);
@@ -176,7 +168,7 @@ void CentralizedSystem::export_registry(obs::Registry& reg) const {
   root.counter("txn.arrivals", m.arrivals, "txns");
   root.counter("txn.completions", m.completions, "txns");
   root.counter("aborts.deadlock", m.deadlock_aborts);
-  root.gauge("txn.live", static_cast<double>(live_.size()), "txns");
+  root.gauge("txn.live", static_cast<double>(arena_.live_count()), "txns");
   root.gauge("window.seconds", m.measure_end - m.measure_start, "s");
   root.stat("rt.all", m.rt_all, "s");
   root.stat("rt.class_a", m.rt_class_a, "s");

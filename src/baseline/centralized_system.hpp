@@ -14,11 +14,11 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 
 #include "db/lock_manager.hpp"
 #include "hybrid/config.hpp"
 #include "hybrid/transaction.hpp"
+#include "hybrid/txn_arena.hpp"
 #include "baseline/baseline_metrics.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
@@ -56,7 +56,7 @@ class CentralizedSystem {
   [[nodiscard]] const BaselineMetrics& metrics() const { return metrics_; }
   [[nodiscard]] double cpu_utilization() const { return cpu_->utilization(); }
   [[nodiscard]] int live_transactions() const {
-    return static_cast<int>(live_.size());
+    return static_cast<int>(arena_.live_count());
   }
   [[nodiscard]] const LockManager& locks() const { return *locks_; }
 
@@ -66,7 +66,6 @@ class CentralizedSystem {
   void export_registry(obs::Registry& reg) const;
 
  private:
-  Transaction* find(TxnId id, std::uint64_t epoch);
   void admit(Transaction txn);
   void start_run(Transaction* txn);
   void after_init(Transaction* txn);
@@ -85,7 +84,7 @@ class CentralizedSystem {
   std::unique_ptr<LockManager> locks_;
   std::vector<std::unique_ptr<ArrivalProcess>> arrivals_;
   BaselineMetrics metrics_;
-  std::unordered_map<TxnId, std::unique_ptr<Transaction>> live_;
+  TxnArena arena_;
 };
 
 }  // namespace hls

@@ -69,25 +69,17 @@ double DistributedSystem::site_utilization(int site) const {
   return sites_[site].cpu->utilization();
 }
 
-Transaction* DistributedSystem::find(TxnId id, std::uint64_t epoch) {
-  auto it = live_.find(id);
-  return (it == live_.end() || it->second->epoch != epoch) ? nullptr
-                                                           : it->second.get();
-}
-
 void DistributedSystem::admit(Transaction txn) {
   ++metrics_.arrivals;
-  auto owned = std::make_unique<Transaction>(std::move(txn));
-  Transaction* t = owned.get();
-  HLS_ASSERT(live_.emplace(t->id, std::move(owned)).second, "duplicate txn id");
-  start_run(t);  // terminals are local to the home site: no input delay
+  // Terminals are local to the home site: no input delay.
+  start_run(arena_.adopt(std::move(txn)));
 }
 
 void DistributedSystem::start_run(Transaction* txn) {
   sites_[txn->home_site].cpu->submit(
       cfg_.local_cpu_seconds(cfg_.instr_msg_init),
-      [this, id = txn->id, epoch = txn->epoch] {
-        if (Transaction* t = find(id, epoch)) {
+      [this, ticket = txn->ticket] {
+        if (Transaction* t = arena_.find(ticket)) {
           after_init(t);
         }
       });
@@ -99,8 +91,8 @@ void DistributedSystem::after_init(Transaction* txn) {
     return;
   }
   sim_.schedule_after(cfg_.setup_io_time,
-                      [this, id = txn->id, epoch = txn->epoch] {
-                        if (Transaction* t = find(id, epoch)) {
+                      [this, ticket = txn->ticket] {
+                        if (Transaction* t = arena_.find(ticket)) {
                           do_call(t);
                         }
                       });
@@ -113,8 +105,8 @@ void DistributedSystem::do_call(Transaction* txn) {
   }
   sites_[txn->home_site].cpu->submit(
       cfg_.local_cpu_seconds(cfg_.instr_per_call),
-      [this, id = txn->id, epoch = txn->epoch] {
-        if (Transaction* t = find(id, epoch)) {
+      [this, ticket = txn->ticket] {
+        if (Transaction* t = arena_.find(ticket)) {
           after_call_cpu(t);
         }
       });
@@ -134,8 +126,8 @@ void DistributedSystem::request_local(Transaction* txn) {
   LockManager& lm = *sites_[txn->home_site].locks;
   const auto outcome =
       lm.request(txn->id, need.id, need.mode,
-                 [this, id = txn->id, epoch = txn->epoch] {
-                   if (Transaction* t = find(id, epoch)) {
+                 [this, ticket = txn->ticket] {
+                   if (Transaction* t = arena_.find(ticket)) {
                      after_lock(t, /*remote=*/false);
                    }
                  });
@@ -157,25 +149,25 @@ void DistributedSystem::request_remote(Transaction* txn, int owner) {
   ++metrics_.remote_calls;
   const LockNeed need = txn->locks[txn->call_index];
   const TxnId id = txn->id;
-  const std::uint64_t epoch = txn->epoch;
+  const TxnTicket ticket = txn->ticket;
   // Send leg: message-handling pathlength at home, one delay, handling at
   // the owner, then the lock request in the owner's table.
   sites_[txn->home_site].cpu->submit(
-      cfg_.local_cpu_seconds(opts_.instr_remote_msg), [this, id, epoch, owner,
+      cfg_.local_cpu_seconds(opts_.instr_remote_msg), [this, id, ticket, owner,
                                                        need] {
-        sim_.schedule_after(cfg_.comm_delay, [this, id, epoch, owner, need] {
+        sim_.schedule_after(cfg_.comm_delay, [this, id, ticket, owner, need] {
           sites_[owner].cpu->submit(
               cfg_.local_cpu_seconds(opts_.instr_remote_msg),
-              [this, id, epoch, owner, need] {
+              [this, id, ticket, owner, need] {
                 LockManager& lm = *sites_[owner].locks;
                 const auto outcome = lm.request(
-                    id, need.id, need.mode, [this, id, epoch, owner, need] {
-                      remote_granted(id, epoch, owner, need.id);
+                    id, need.id, need.mode, [this, id, ticket, owner, need] {
+                      remote_granted(id, ticket, owner, need.id);
                     });
                 switch (outcome) {
                   case LockRequestOutcome::Granted:
                   case LockRequestOutcome::AlreadyHeld:
-                    remote_granted(id, epoch, owner, need.id);
+                    remote_granted(id, ticket, owner, need.id);
                     break;
                   case LockRequestOutcome::Queued: {
                     // Cross-site waits are invisible to any one site's
@@ -184,9 +176,9 @@ void DistributedSystem::request_remote(Transaction* txn, int owner) {
                     // lock — the same run may legitimately wait on a later
                     // lock at the same owner inside the timeout window.
                     sim_.schedule_after(
-                        opts_.lock_timeout, [this, id, epoch, owner,
+                        opts_.lock_timeout, [this, id, ticket, owner,
                                              lock = need.id] {
-                          Transaction* t = find(id, epoch);
+                          Transaction* t = arena_.find(ticket);
                           if (t != nullptr &&
                               sites_[owner].locks->waiting_lock(id) == lock) {
                             sites_[owner].locks->cancel_waits(id);
@@ -199,7 +191,7 @@ void DistributedSystem::request_remote(Transaction* txn, int owner) {
                   case LockRequestOutcome::Deadlock:
                     // A cycle local to the owner site; report back as a
                     // failure and abort at home.
-                    if (Transaction* t = find(id, epoch)) {
+                    if (Transaction* t = arena_.find(ticket)) {
                       ++metrics_.deadlock_aborts;
                       abort_rerun(t, /*timed_out=*/false);
                     }
@@ -210,10 +202,10 @@ void DistributedSystem::request_remote(Transaction* txn, int owner) {
       });
 }
 
-void DistributedSystem::remote_granted(TxnId id, std::uint64_t epoch, int owner,
+void DistributedSystem::remote_granted(TxnId id, TxnTicket ticket, int owner,
                                        LockId lock) {
   // The owner performs the call's I/O, then the reply travels home.
-  Transaction* peek = find(id, epoch);
+  Transaction* peek = arena_.find(ticket);
   if (peek == nullptr) {
     // Granted to a transaction that aborted meanwhile: drop the stray hold.
     if (sites_[owner].locks->holds(id, lock)) {
@@ -223,13 +215,13 @@ void DistributedSystem::remote_granted(TxnId id, std::uint64_t epoch, int owner,
   }
   const bool do_io = !peek->is_rerun() && peek->call_io[peek->call_index];
   const double io = do_io ? cfg_.call_io_time : 0.0;
-  sim_.schedule_after(io, [this, id, epoch] {
-    sim_.schedule_after(cfg_.comm_delay, [this, id, epoch] {
-      if (Transaction* t = find(id, epoch)) {
+  sim_.schedule_after(io, [this, ticket] {
+    sim_.schedule_after(cfg_.comm_delay, [this, ticket] {
+      if (Transaction* t = arena_.find(ticket)) {
         sites_[t->home_site].cpu->submit(
             cfg_.local_cpu_seconds(opts_.instr_remote_msg),
-            [this, id, epoch] {
-              if (Transaction* t2 = find(id, epoch)) {
+            [this, ticket] {
+              if (Transaction* t2 = arena_.find(ticket)) {
                 after_lock(t2, /*remote=*/true);
               }
             });
@@ -246,8 +238,8 @@ void DistributedSystem::after_lock(Transaction* txn, bool remote) {
   ++txn->call_index;
   if (do_io) {
     sim_.schedule_after(cfg_.call_io_time,
-                        [this, id = txn->id, epoch = txn->epoch] {
-                          if (Transaction* t = find(id, epoch)) {
+                        [this, ticket = txn->ticket] {
+                          if (Transaction* t = arena_.find(ticket)) {
                             do_call(t);
                           }
                         });
@@ -272,8 +264,8 @@ std::vector<int> DistributedSystem::remote_participants(
 void DistributedSystem::commit(Transaction* txn) {
   sites_[txn->home_site].cpu->submit(
       cfg_.local_cpu_seconds(cfg_.instr_msg_commit),
-      [this, id = txn->id, epoch = txn->epoch] {
-        if (Transaction* t = find(id, epoch)) {
+      [this, ticket = txn->ticket] {
+        if (Transaction* t = arena_.find(ticket)) {
           after_commit_cpu(t);
         }
       });
@@ -289,21 +281,19 @@ void DistributedSystem::after_commit_cpu(Transaction* txn) {
   // response released once all votes are in.
   txn->auth_pending_acks = static_cast<int>(participants.size());
   for (int p : participants) {
-    sim_.schedule_after(cfg_.comm_delay, [this, id = txn->id,
-                                          epoch = txn->epoch, p] {
+    sim_.schedule_after(cfg_.comm_delay, [this, ticket = txn->ticket, p] {
       sites_[p].cpu->submit(
           cfg_.local_cpu_seconds(cfg_.instr_commit_apply_local),
-          [this, id, epoch] {
-            sim_.schedule_after(cfg_.comm_delay, [this, id, epoch] {
-              prepare_acked(id, epoch);
+          [this, ticket] {
+            sim_.schedule_after(cfg_.comm_delay, [this, ticket] {
+              prepare_acked(arena_.find(ticket));
             });
           });
     });
   }
 }
 
-void DistributedSystem::prepare_acked(TxnId id, std::uint64_t epoch) {
-  Transaction* txn = find(id, epoch);
+void DistributedSystem::prepare_acked(Transaction* txn) {
   HLS_ASSERT(txn != nullptr, "prepare ack for a missing transaction");
   HLS_ASSERT(txn->auth_pending_acks > 0, "unexpected prepare ack");
   if (--txn->auth_pending_acks == 0) {
@@ -316,7 +306,7 @@ void DistributedSystem::finish(Transaction* txn) {
   sites_[txn->home_site].locks->release_all(txn->id);
   for (int p : remote_participants(*txn)) {
     // Release messages are keyed on the immutable TxnId alone: the txn
-    // completes here and ids are never reused, so no epoch guard is needed.
+    // completes here and ids are never reused, so no ticket is needed.
     // hlslint:allow(callback-epoch)
     sim_.schedule_after(cfg_.comm_delay, [this, id = txn->id, p] {
       sites_[p].locks->release_all(id);
@@ -326,7 +316,7 @@ void DistributedSystem::finish(Transaction* txn) {
   metrics_.rt_all.add(rt);
   (txn->cls == TxnClass::A ? metrics_.rt_class_a : metrics_.rt_class_b).add(rt);
   ++metrics_.completions;
-  live_.erase(txn->id);
+  arena_.release(txn->id);
 }
 
 void DistributedSystem::abort_rerun(Transaction* txn, bool timed_out) {
@@ -334,13 +324,13 @@ void DistributedSystem::abort_rerun(Transaction* txn, bool timed_out) {
   const std::vector<int> participants = remote_participants(*txn);
   for (int p : participants) {
     // Stale-release safety comes from the rerun backoff below (the rerun
-    // cannot re-acquire before these fire), not from an epoch guard.
+    // cannot re-acquire before these fire), not from a ticket.
     // hlslint:allow(callback-epoch)
     sim_.schedule_after(cfg_.comm_delay,
                         [this, id = txn->id, p] { sites_[p].locks->release_all(id); });
   }
   ++txn->run_count;
-  ++txn->epoch;
+  ++txn->ticket.generation;
   txn->call_index = 0;
   txn->auth_pending_acks = 0;
   HLS_ASSERT(txn->run_count <= cfg_.max_reruns, "distributed baseline livelock");
@@ -351,8 +341,8 @@ void DistributedSystem::abort_rerun(Transaction* txn, bool timed_out) {
   if (timed_out) {
     backoff += rng_.uniform(0.05, opts_.restart_backoff_max);
   }
-  sim_.schedule_after(backoff, [this, id = txn->id, epoch = txn->epoch] {
-    if (Transaction* t = find(id, epoch)) {
+  sim_.schedule_after(backoff, [this, ticket = txn->ticket] {
+    if (Transaction* t = arena_.find(ticket)) {
       start_run(t);
     }
   });
@@ -366,7 +356,7 @@ void DistributedSystem::export_registry(obs::Registry& reg) const {
   root.counter("msg.remote_calls", m.remote_calls, "calls");
   root.counter("aborts.deadlock", m.deadlock_aborts);
   root.counter("aborts.lock_timeout", m.timeout_aborts);
-  root.gauge("txn.live", static_cast<double>(live_.size()), "txns");
+  root.gauge("txn.live", static_cast<double>(arena_.live_count()), "txns");
   root.gauge("window.seconds", m.measure_end - m.measure_start, "s");
   root.stat("rt.all", m.rt_all, "s");
   root.stat("rt.class_a", m.rt_class_a, "s");

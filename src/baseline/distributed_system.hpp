@@ -29,13 +29,13 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "baseline/baseline_metrics.hpp"
 #include "db/lock_manager.hpp"
 #include "hybrid/config.hpp"
 #include "hybrid/transaction.hpp"
+#include "hybrid/txn_arena.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 #include "util/random.hpp"
@@ -74,7 +74,7 @@ class DistributedSystem {
   Simulator& simulator() { return sim_; }
   [[nodiscard]] const BaselineMetrics& metrics() const { return metrics_; }
   [[nodiscard]] int live_transactions() const {
-    return static_cast<int>(live_.size());
+    return static_cast<int>(arena_.live_count());
   }
   [[nodiscard]] const LockManager& site_locks(int site) const;
   [[nodiscard]] double site_utilization(int site) const;
@@ -91,7 +91,6 @@ class DistributedSystem {
     std::unique_ptr<ArrivalProcess> arrivals;
   };
 
-  Transaction* find(TxnId id, std::uint64_t epoch);
   void admit(Transaction txn);
   void start_run(Transaction* txn);
   void after_init(Transaction* txn);
@@ -99,11 +98,14 @@ class DistributedSystem {
   void after_call_cpu(Transaction* txn);
   void request_local(Transaction* txn);
   void request_remote(Transaction* txn, int owner);
-  void remote_granted(TxnId id, std::uint64_t epoch, int owner, LockId lock);
+  void remote_granted(TxnId id, TxnTicket ticket, int owner, LockId lock);
   void after_lock(Transaction* txn, bool remote);
   void commit(Transaction* txn);
   void after_commit_cpu(Transaction* txn);
-  void prepare_acked(TxnId id, std::uint64_t epoch);
+  /// `txn` is the ack's transaction as found by its ticket: never gone,
+  /// since a transaction in two-phase commit neither aborts nor completes
+  /// before its last ack.
+  void prepare_acked(Transaction* txn);
   void finish(Transaction* txn);
   void abort_rerun(Transaction* txn, bool timed_out);
   /// Sites other than home that master any of this transaction's locks.
@@ -116,7 +118,7 @@ class DistributedSystem {
   Rng rng_;
   std::vector<Site> sites_;
   BaselineMetrics metrics_;
-  std::unordered_map<TxnId, std::unique_ptr<Transaction>> live_;
+  TxnArena arena_;
 };
 
 }  // namespace hls

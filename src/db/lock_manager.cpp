@@ -351,44 +351,49 @@ std::vector<TxnId> LockManager::find_cycle(TxnId waiter, LockId lock) const {
   if (start == nullptr) {
     return {};
   }
-  // Recursive DFS over the waits-for relation with path tracking. A
+  // Depth-first over the waits-for relation with path tracking. A
   // transaction blocks on at most one lock, so the graph is sparse; the
-  // visited set keeps the walk linear.
-  std::vector<TxnId> visited;
-  std::vector<TxnId> path{waiter};
-
-  // Returns true when a path back to `waiter` is found; `path` then holds
-  // the cycle members in order.
-  auto dfs = [&](auto&& self, const Entry& entry, TxnId upto) -> bool {
-    std::vector<TxnId> blockers;
-    collect_blockers(entry, upto, blockers);
-    for (TxnId t : blockers) {
-      if (t == waiter) {
-        return true;
-      }
-      if (std::find(visited.begin(), visited.end(), t) != visited.end()) {
-        continue;
-      }
-      visited.push_back(t);
-      const LockId* waits_on = waiting_on_.find(t);
-      if (waits_on == nullptr) {
-        continue;  // a holder that is not itself waiting: dead end
-      }
-      const Entry* next = lookup_entry(*waits_on);
-      if (next == nullptr) {
-        continue;
-      }
-      path.push_back(t);
-      if (self(self, *next, t)) {
-        return true;
-      }
-      path.pop_back();
-    }
-    return false;
+  // visited set keeps the walk linear. The stack holds each level's
+  // blockers in reverse, so they pop in collect_blockers order, and a
+  // kPathPop below a level's blockers ends that level: the walk visits
+  // exactly what a recursive DFS would, in the same order.
+  constexpr TxnId kPathPop = kInvalidTxn;
+  cycle_visited_.clear();
+  cycle_path_.assign(1, waiter);
+  cycle_stack_.clear();
+  const auto push_blockers = [this](const Entry& entry, TxnId upto) {
+    const std::size_t from = cycle_stack_.size();
+    collect_blockers(entry, upto, cycle_stack_);
+    std::reverse(cycle_stack_.begin() + static_cast<std::ptrdiff_t>(from),
+                 cycle_stack_.end());
   };
-
-  if (dfs(dfs, *start, waiter)) {
-    return path;
+  push_blockers(*start, waiter);
+  while (!cycle_stack_.empty()) {
+    const TxnId t = cycle_stack_.back();
+    cycle_stack_.pop_back();
+    if (t == kPathPop) {
+      cycle_path_.pop_back();
+      continue;
+    }
+    if (t == waiter) {
+      return cycle_path_;  // the members, in waits-for order
+    }
+    if (std::find(cycle_visited_.begin(), cycle_visited_.end(), t) !=
+        cycle_visited_.end()) {
+      continue;
+    }
+    cycle_visited_.push_back(t);
+    const LockId* waits_on = waiting_on_.find(t);
+    if (waits_on == nullptr) {
+      continue;  // a holder that is not itself waiting: dead end
+    }
+    const Entry* next = lookup_entry(*waits_on);
+    if (next == nullptr) {
+      continue;
+    }
+    cycle_path_.push_back(t);
+    cycle_stack_.push_back(kPathPop);
+    push_blockers(*next, t);
   }
   return {};
 }

@@ -99,6 +99,20 @@ class LockManager {
   };
   [[nodiscard]] std::vector<HolderInfo> holders_of(LockId lock) const;
 
+  /// Calls `visit(HolderInfo)` for each current holder of `lock`, in the
+  /// order holders_of lists them, until it returns false. Allocates
+  /// nothing; `visit` must not change this lock table.
+  template <typename Visit>
+  void visit_holders(LockId lock, Visit&& visit) const {
+    if (const Entry* entry = lookup_entry(lock)) {
+      for (const Holder& h : entry->holders) {
+        if (!visit(HolderInfo{h.txn, h.mode})) {
+          return;
+        }
+      }
+    }
+  }
+
   /// Locks currently held by `txn` (order unspecified).
   [[nodiscard]] std::vector<LockId> held_locks(TxnId txn) const;
 
@@ -175,7 +189,8 @@ class LockManager {
   /// close a cycle back to `waiter`, returns the cycle's members (waiter
   /// first, then the chain of transactions it would transitively wait on);
   /// empty when waiting is safe. Exposed for diagnostics; request() invokes
-  /// it internally before queueing a blocked request.
+  /// it internally before queueing a blocked request. The search runs in
+  /// member scratch buffers, so only a found cycle allocates.
   [[nodiscard]] std::vector<TxnId> find_cycle(TxnId waiter, LockId lock) const;
 
   /// Internal-consistency check used by tests: every index entry matches the
@@ -274,6 +289,12 @@ class LockManager {
   std::vector<std::vector<LockId>> held_pool_;
   std::vector<std::uint32_t> free_held_;
   std::vector<LockId> release_scratch_;  // release_all working copy
+  // find_cycle's working state (the search never re-enters): transactions
+  // already expanded, the current waits-for chain, and one flat stack of
+  // blockers still to visit, with kPathPop marking where a chain link ends.
+  mutable std::vector<TxnId> cycle_visited_;
+  mutable std::vector<TxnId> cycle_path_;
+  mutable std::vector<TxnId> cycle_stack_;
   // txn -> lock id it is currently blocked on (a txn waits on one lock)
   FlatMap<TxnId, LockId> waiting_on_{kInvalidTxn};
   std::size_t holds_total_ = 0;

@@ -217,30 +217,19 @@ TxnId HybridSystem::inject_transaction(Transaction txn) {
              "home site out of range");
   const TxnId id = txn.id;
   txn.arrival_time = sim_.now();
-  Transaction* t = arena_.checkout();
-  *t = std::move(txn);
-  arena_.commit(t);
-  admit(t);
+  admit(arena_.adopt(std::move(txn)));
   return id;
 }
 
 // --------------------------------------------------------------------------
 // plumbing
 
-Transaction* HybridSystem::find(TxnId id, std::uint64_t epoch) {
-  Transaction* txn = arena_.lookup(id);
-  if (txn == nullptr || txn->epoch != epoch) {
-    return nullptr;  // completed, or aborted+rerun since the event was armed
-  }
-  return txn;
-}
-
 void HybridSystem::cpu_burst(FcfsResource& cpu, double seconds, Transaction* txn,
                              obs::Phase service_phase, int track, Step next) {
   txn->phases.pending = obs::Phase::ReadyQueue;
-  cpu.submit(seconds, [this, seconds, service_phase, track, id = txn->id,
-                       epoch = txn->epoch, next] {
-    if (Transaction* t = find(id, epoch)) {
+  cpu.submit(seconds, [this, seconds, service_phase, track,
+                       ticket = txn->ticket, next] {
+    if (Transaction* t = arena_.find(ticket)) {
       span_burst(t, service_phase, seconds, track);
       (this->*next)(t);
     }
@@ -251,18 +240,18 @@ void HybridSystem::wait(double seconds, Transaction* txn, obs::Phase phase,
                         int track, Step next) {
   txn->phases.pending = phase;
   // IO-occupancy gauge: increment at schedule, decrement unconditionally in
-  // the callback (before the epoch check, so the pairing is exact even when
+  // the callback (before the ticket check, so the pairing is exact even when
   // the transaction aborted or completed while the IO was in flight).
   const bool io_gauge = resource_telemetry_ && phase == obs::Phase::Io;
   if (io_gauge) {
     note_io(track, +1);
   }
-  sim_.schedule_after(seconds, [this, phase, track, id = txn->id,
-                                epoch = txn->epoch, next, io_gauge] {
+  sim_.schedule_after(seconds, [this, phase, track, ticket = txn->ticket, next,
+                                io_gauge] {
     if (io_gauge) {
       note_io(track, -1);
     }
-    if (Transaction* t = find(id, epoch)) {
+    if (Transaction* t = arena_.find(ticket)) {
       span_settle(t, phase, sim_.now(), track);
       (this->*next)(t);
     }
@@ -618,7 +607,7 @@ void HybridSystem::prepare_rerun(Transaction* txn, AbortCause cause) {
   txn->auth_blocker = kInvalidTxn;
   txn->auth_blocker_site = -2;
   ++txn->run_count;
-  ++txn->epoch;
+  ++txn->ticket.generation;  // drops every callback armed for this attempt
   txn->call_index = 0;
   txn->marked_abort = false;
   txn->auth_pending_acks = 0;
@@ -788,8 +777,8 @@ void HybridSystem::after_call_cpu(Transaction* txn) {
     std::vector<TxnId> cycle;
     const auto outcome =
         lm.request(txn->id, need.id, need.mode,
-                   [this, id = txn->id, epoch = txn->epoch] {
-                     if (Transaction* t = find(id, epoch)) {
+                   [this, ticket = txn->ticket] {
+                     if (Transaction* t = arena_.find(ticket)) {
                        lock_granted(t);
                      }
                    },
@@ -913,7 +902,7 @@ void HybridSystem::local_finalize(Transaction* txn) {
   // Updated entities: the exclusive locks this transaction holds. (If it is
   // unmarked at commit it still holds every lock it acquired.) Each update
   // carries its committer so a central invalidation can name its winner.
-  std::vector<UpdateItem> updated;
+  std::vector<UpdateItem> updated = take_update_list();
   for (const LockNeed& need : txn->locks) {
     if (need.mode != LockMode::Exclusive) {
       continue;
@@ -934,7 +923,9 @@ void HybridSystem::local_finalize(Transaction* txn) {
   for (const UpdateItem& item : updated) {
     lm.increment_coherence(item.id);
   }
-  if (!updated.empty()) {
+  if (updated.empty()) {
+    recycle_update_list(std::move(updated));
+  } else {
     queue_async_update(txn->home_site, std::move(updated));
   }
   complete(txn, sim_.now());
@@ -943,6 +934,23 @@ void HybridSystem::local_finalize(Transaction* txn) {
 // --------------------------------------------------------------------------
 // asynchronous update propagation
 
+std::vector<HybridSystem::UpdateItem> HybridSystem::take_update_list() {
+  if (update_lists_.empty()) {
+    return {};
+  }
+  std::vector<UpdateItem> items = std::move(update_lists_.back());
+  update_lists_.pop_back();
+  return items;
+}
+
+void HybridSystem::recycle_update_list(std::vector<UpdateItem> items) {
+  if (items.capacity() == 0) {
+    return;  // nothing worth keeping
+  }
+  items.clear();
+  update_lists_.push_back(std::move(items));
+}
+
 void HybridSystem::queue_async_update(int site, std::vector<UpdateItem> items) {
   if (cfg_.async_batch_window <= 0.0) {
     send_async_update(site, std::move(items));
@@ -950,6 +958,7 @@ void HybridSystem::queue_async_update(int site, std::vector<UpdateItem> items) {
   }
   SiteState& s = sites_[site];
   s.pending_updates.insert(s.pending_updates.end(), items.begin(), items.end());
+  recycle_update_list(std::move(items));
   if (s.flush_armed) {
     return;  // a flush is already scheduled; this commit rides along
   }
@@ -958,7 +967,7 @@ void HybridSystem::queue_async_update(int site, std::vector<UpdateItem> items) {
     SiteState& st = sites_[site];
     st.flush_armed = false;
     if (!st.pending_updates.empty()) {
-      std::vector<UpdateItem> batch;
+      std::vector<UpdateItem> batch = take_update_list();
       batch.swap(st.pending_updates);
       send_async_update(site, std::move(batch));
     }
@@ -1002,14 +1011,16 @@ void HybridSystem::central_apply_update(int site,
     }
   }
   // Acknowledge back to the master site; the ack processing decrements the
-  // coherence counts that were raised at local commit.
+  // coherence counts that were raised at local commit, and then the list
+  // goes back to the pool.
   send_down(site, [this, site, items = std::move(items)]() mutable {
     sites_[site].cpu->submit(
         cfg_.site_cpu_seconds(site, cfg_.instr_recv_ack),
-        [this, site, items = std::move(items)] {
+        [this, site, items = std::move(items)]() mutable {
           for (const UpdateItem& item : items) {
             sites_[site].locks->decrement_coherence(item.id);
           }
+          recycle_update_list(std::move(items));
         });
   });
 }
@@ -1030,8 +1041,8 @@ void HybridSystem::ship_to_central(Transaction* txn) {
 void HybridSystem::ship_after_forward(Transaction* txn) {
   txn->phases.pending = obs::Phase::Network;
   const double sent_at = sim_.now();
-  send_up(txn->home_site, [this, sent_at, id = txn->id, epoch = txn->epoch] {
-    if (Transaction* t = find(id, epoch)) {
+  send_up(txn->home_site, [this, sent_at, ticket = txn->ticket] {
+    if (Transaction* t = arena_.find(ticket)) {
       // A delivery replayed from an outage backlog settles here too: the
       // Network phase absorbs backlog residence (documented convention).
       span_settle(t, obs::Phase::Network, sim_.now(), t->home_site);
@@ -1058,25 +1069,26 @@ void HybridSystem::central_begin_auth(Transaction* txn) {
   txn->phases.pending = obs::Phase::Auth;
 
   for (int site : involved) {
-    send_down(site, [this, site, id = txn->id, epoch = txn->epoch] {
-      local_process_auth(site, id, epoch);
+    send_down(site, [this, site, ticket = txn->ticket] {
+      local_process_auth(site, ticket);
     });
   }
 }
 
-void HybridSystem::local_process_auth(int site, TxnId txn_id, std::uint64_t epoch) {
+void HybridSystem::local_process_auth(int site, TxnTicket ticket) {
   // Authentication processing consumes home-site CPU before the checks run.
   sites_[site].cpu->submit(
       cfg_.site_cpu_seconds(site, cfg_.instr_auth_local),
-      [this, site, txn_id, epoch] {
-        const Transaction* requester = find(txn_id, epoch);
+      [this, site, ticket] {
+        const Transaction* requester = arena_.find(ticket);
         if (requester == nullptr) {
           // Requester reclaimed (ship timeout / crash) while this request
           // was queued: don't grab locks on behalf of a dead auth round.
           // Unreachable in fault-free runs — a transaction always collects
-          // the full ack set before its epoch can change.
+          // the full ack set before its ticket can change.
           return;
         }
+        const TxnId txn_id = requester->id;
         // The locks this site masters, in access order with repeats: the
         // access pattern is fixed at generation, so the live run's list is
         // the one the round was sent for.
@@ -1104,14 +1116,15 @@ void HybridSystem::local_process_auth(int site, TxnId txn_id, std::uint64_t epoc
             refuse = true;
             break;
           }
-          for (const auto& holder : lm.holders_of(need.id)) {
+          // Returns false (stop) at the first holder that forces a refusal.
+          lm.visit_holders(need.id, [&](const LockManager::HolderInfo& holder) {
             if (holder.txn == txn_id) {
-              continue;
+              return true;
             }
             const bool conflict = need.mode == LockMode::Exclusive ||
                                   holder.mode == LockMode::Exclusive;
             if (!conflict) {
-              continue;
+              return true;
             }
             const Transaction* held = arena_.lookup(holder.txn);
             // Under the controller's lock-wait collision policy the site
@@ -1129,9 +1142,10 @@ void HybridSystem::local_process_auth(int site, TxnId txn_id, std::uint64_t epoc
                 blocker = holder.txn;
                 blocker_site = held->home_site;
               }
-              break;
+              return false;
             }
-          }
+            return true;
+          });
           if (refuse) {
             break;
           }
@@ -1154,18 +1168,18 @@ void HybridSystem::local_process_auth(int site, TxnId txn_id, std::uint64_t epoc
           granted = true;
         }
 
-        send_up(site, [this, txn_id, epoch, site, positive = !refuse, granted,
+        send_up(site, [this, ticket, site, positive = !refuse, granted,
                        blocker, blocker_site] {
-          central_auth_ack(txn_id, epoch, site, positive, granted, blocker,
-                          blocker_site);
+          central_auth_ack(ticket, site, positive, granted, blocker,
+                           blocker_site);
         });
       });
 }
 
-void HybridSystem::central_auth_ack(TxnId txn_id, std::uint64_t epoch, int site,
-                                    bool positive, bool granted, TxnId blocker,
+void HybridSystem::central_auth_ack(TxnTicket ticket, int site, bool positive,
+                                    bool granted, TxnId blocker,
                                     int blocker_site) {
-  Transaction* txn = find(txn_id, epoch);
+  Transaction* txn = arena_.find(ticket);
   // Fault-free, the transaction always waits for the full ack set before
   // moving on; a miss here means a ship timeout or crash reclaimed it while
   // the ack was in flight, and the reclaim already released its auth holds.
@@ -1262,9 +1276,8 @@ void HybridSystem::rfc_send_up(Transaction* txn, double instructions,
                                obs::Phase phase, Step next) {
   txn->phases.pending = obs::Phase::Network;
   const double seconds = cfg_.central_cpu_seconds(instructions);
-  send_up(txn->home_site, [this, id = txn->id, epoch = txn->epoch, seconds,
-                           phase, next] {
-    Transaction* t = find(id, epoch);
+  send_up(txn->home_site, [this, ticket = txn->ticket, seconds, phase, next] {
+    Transaction* t = arena_.find(ticket);
     if (t == nullptr) {
       // The central CPU does the work before discovering that the requester
       // aborted while the request was in flight.
@@ -1279,8 +1292,8 @@ void HybridSystem::rfc_send_up(Transaction* txn, double instructions,
 void HybridSystem::rfc_send_reply(Transaction* txn) {
   // The reply goes home, where the home-site CPU books its handling.
   txn->phases.pending = obs::Phase::Network;
-  send_down(txn->home_site, [this, id = txn->id, epoch = txn->epoch] {
-    if (Transaction* t = find(id, epoch)) {
+  send_down(txn->home_site, [this, ticket = txn->ticket] {
+    if (Transaction* t = arena_.find(ticket)) {
       span_settle(t, obs::Phase::Network, sim_.now(), t->home_site);
       step_burst(t, cfg_.instr_recv_ack, obs::Phase::CpuService,
                  &HybridSystem::do_call);
@@ -1416,9 +1429,9 @@ void HybridSystem::central_crash() {
   HLS_ASSERT(static_cast<int>(victims.size()) == central_.resident_txns,
              "central residency disagrees with at_central flags");
 
-  // Two passes: bump every victim's epoch first so that releasing one
+  // Two passes: bump every victim's ticket first so that releasing one
   // victim's locks cannot re-awaken another victim through a grant callback
-  // carrying a still-valid epoch.
+  // carrying a still-valid ticket.
   for (TxnId id : victims) {
     Transaction* txn = arena_.lookup(id);
     txn->at_central = false;
@@ -1428,7 +1441,7 @@ void HybridSystem::central_crash() {
     txn->phases.pending = obs::Phase::Stall;
     prepare_rerun(txn, AbortCause::Crash);
     txn->memory_resident = false;  // the crash wiped central memory
-    central_.recovery_queue.emplace_back(id, txn->epoch);
+    central_.recovery_queue.push_back(txn->ticket);
   }
   for (TxnId id : victims) {
     Transaction* txn = arena_.lookup(id);
@@ -1453,10 +1466,10 @@ void HybridSystem::central_recover() {
   // the same FIFO order they would have without the outage.
   replay_backlog(-1);
 
-  std::vector<std::pair<TxnId, std::uint64_t>> queue;
+  std::vector<TxnTicket> queue;
   queue.swap(central_.recovery_queue);
-  for (const auto& [id, epoch] : queue) {
-    Transaction* txn = find(id, epoch);
+  for (const TxnTicket ticket : queue) {
+    Transaction* txn = arena_.find(ticket);
     if (txn == nullptr) {
       continue;  // reclaimed by its home site's ship timeout meanwhile
     }
@@ -1495,7 +1508,7 @@ void HybridSystem::site_crash(int site) {
     txn->phases.pending = obs::Phase::Stall;
     prepare_rerun(txn, AbortCause::Crash);
     txn->memory_resident = false;
-    s.recovery_queue.emplace_back(id, txn->epoch);
+    s.recovery_queue.push_back(txn->ticket);
   }
   // Victims release their concurrency locks; authentication holds and
   // coherence counts (owned by central transactions / the update protocol)
@@ -1516,10 +1529,10 @@ void HybridSystem::site_recover(int site) {
 
   replay_backlog(site);
 
-  std::vector<std::pair<TxnId, std::uint64_t>> queue;
+  std::vector<TxnTicket> queue;
   queue.swap(s.recovery_queue);
-  for (const auto& [id, epoch] : queue) {
-    if (Transaction* txn = find(id, epoch)) {
+  for (const TxnTicket ticket : queue) {
+    if (Transaction* txn = arena_.find(ticket)) {
       span_settle(txn, obs::Phase::Stall, sim_.now(), site);  // outage residence
       start_run(txn);
     }
@@ -1581,7 +1594,7 @@ void HybridSystem::arm_ship_timeout(Transaction* txn) {
     // once from the dedicated stream. Disabled (the default) draws nothing.
     delay *= 1.0 + cfg_.ship_jitter * ship_jitter_rng_.next_double();
   }
-  // Keyed on ship_attempt, not epoch: central-side reruns bump the epoch but
+  // Keyed on ship_attempt, not the ticket: central-side reruns bump the ticket but
   // the home site's timer must keep covering them; only a reclaim (which
   // bumps ship_attempt) or completion disarms it.
   // hlslint:allow(callback-epoch) — ship_attempt is the guard here by design.

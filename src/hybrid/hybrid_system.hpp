@@ -276,7 +276,7 @@ class HybridSystem {
     // `backlog` and crashed local transactions wait in `recovery_queue`.
     bool alive = true;
     std::vector<QueuedMsg> backlog;
-    std::vector<std::pair<TxnId, std::uint64_t>> recovery_queue;
+    std::vector<TxnTicket> recovery_queue;  ///< crash victims, in id order
     // Per-resource telemetry (maintained only when obs_resource_telemetry).
     int io_in_flight = 0;
     TimeWeightedStat io_tw;
@@ -291,7 +291,7 @@ class HybridSystem {
     // recovery, before any aborted resident restarts.
     bool alive = true;
     std::vector<QueuedMsg> backlog;
-    std::vector<std::pair<TxnId, std::uint64_t>> recovery_queue;
+    std::vector<TxnTicket> recovery_queue;  ///< crash victims, in id order
     // Per-resource telemetry (maintained only when obs_resource_telemetry).
     int io_in_flight = 0;
     TimeWeightedStat io_tw;
@@ -300,7 +300,6 @@ class HybridSystem {
   // ---- plumbing ----
   /// A protocol step continuation.
   using Step = void (HybridSystem::*)(Transaction*);
-  Transaction* find(TxnId id, std::uint64_t epoch);
   /// Submits a CPU burst; on completion the leading queue wait is settled to
   /// ReadyQueue and the service time to `service_phase` (CpuService/Commit).
   /// `track` names the span track (site index, or obs::kCentralTrack).
@@ -433,9 +432,9 @@ class HybridSystem {
   /// Master site `site`'s half of an authentication round: after one
   /// instr_auth_local burst, checks and grabs the locks of the requester's
   /// access pattern that `site` masters, then acks.
-  void local_process_auth(int site, TxnId txn_id, std::uint64_t epoch);
-  void central_auth_ack(TxnId txn_id, std::uint64_t epoch, int site, bool positive,
-                        bool granted, TxnId blocker, int blocker_site);
+  void local_process_auth(int site, TxnTicket ticket);
+  void central_auth_ack(TxnTicket ticket, int site, bool positive, bool granted,
+                        TxnId blocker, int blocker_site);
   void central_auth_done(Transaction* txn);
   void release_auth_grants(Transaction* txn);
   /// The release chain for `id`'s locks at master site `site`: one
@@ -497,6 +496,11 @@ class HybridSystem {
   void queue_async_update(int site, std::vector<UpdateItem> items);
   void send_async_update(int site, std::vector<UpdateItem> items);
   void central_apply_update(int site, std::vector<UpdateItem> items);
+  /// An empty update list from the pool (its capacity kept), or a new one.
+  std::vector<UpdateItem> take_update_list();
+  /// Returns a list to the pool once nothing reads it any more: the site's
+  /// ack handler, after it has decremented the coherence counts.
+  void recycle_update_list(std::vector<UpdateItem> items);
 
   // ---- struct-of-arrays staging for per-phase completion statistics ----
   /// The per-phase SampleStat/Histogram adds are the hottest accumulator
@@ -536,6 +540,9 @@ class HybridSystem {
   // allocates nothing: master_sites' result and one site's lock list.
   std::vector<int> master_sites_;
   std::vector<LockNeed> auth_needs_;
+  /// Update lists of asynchronous propagation (local_finalize, batching)
+  /// waiting for reuse. Grows on use to the number of lists in flight.
+  std::vector<std::vector<UpdateItem>> update_lists_;
   AdaptiveController* controller_ = nullptr;  ///< borrowed from strategy_
   double adapt_interval_ = 0.0;  ///< resolved review cadence; 0 = inert
   bool arrivals_enabled_ = false;

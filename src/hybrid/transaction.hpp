@@ -5,6 +5,7 @@
 // onto (cls, shipped/routed, run_count>0).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -35,6 +36,20 @@ struct LockNeed {
   LockMode mode;
 };
 
+/// A scheduled callback's claim on one run of a transaction: its arena
+/// slot and that slot's generation when the callback was armed
+/// (hybrid/txn_arena.hpp). A rerun or the release of the transaction bumps
+/// the generation, so an older ticket no longer matches.
+struct TxnTicket {
+  std::uint32_t slot = 0;
+  std::uint32_t generation = 0;
+
+  /// One 64-bit compare: this is the test every callback runs.
+  friend bool operator==(TxnTicket a, TxnTicket b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  }
+};
+
 /// Where a class A transaction was routed.
 enum class Route : std::uint8_t { Local, Central };
 
@@ -55,7 +70,9 @@ struct Transaction {
   int run_count = 0;        ///< 0 on first run; incremented per rerun
   int call_index = 0;       ///< next DB call to execute
   bool marked_abort = false;
-  std::uint64_t epoch = 0;  ///< bumped on each rerun; guards stale callbacks
+  /// Issued by the arena and kept across recycle(); a rerun bumps its
+  /// generation, which drops every callback armed for an earlier run.
+  TxnTicket ticket;
 
   // ---- authentication state (central/shipped only) ----
   int auth_pending_acks = 0;
@@ -97,10 +114,10 @@ struct Transaction {
   /// Per-phase time burned by aborted attempts, across the retry chain.
   double wasted_phase[obs::kPhaseCount] = {};
 
-  /// Resets every field to its freshly-constructed state while keeping the
-  /// capacity of the access-pattern vectors, so an arena slot can host
-  /// thousands of transactions without per-transaction allocation. Must be
-  /// kept in sync with the field list above.
+  /// Resets every field but `ticket` to its freshly-constructed state while
+  /// keeping the capacity of the access-pattern vectors, so an arena slot
+  /// can host thousands of transactions without per-transaction
+  /// allocation. Must be kept in sync with the field list above.
   void recycle() {
     id = kInvalidTxn;
     cls = TxnClass::A;
@@ -112,7 +129,6 @@ struct Transaction {
     run_count = 0;
     call_index = 0;
     marked_abort = false;
-    epoch = 0;
     auth_pending_acks = 0;
     auth_any_negative = false;
     auth_sites.clear();

@@ -1,16 +1,22 @@
-// Pooled storage for live transactions with an open-addressing id index.
+// Pooled storage for live transactions, reached by ticket or by id.
 //
-// Replaces the unordered_map<TxnId, unique_ptr<Transaction>> that used to
-// anchor every live transaction: slots — and the capacity of each slot's
-// access-pattern vectors — are recycled across transactions, so steady-state
-// admission allocates nothing, and lookup is one multiplicative hash plus a
-// short linear probe in a table kept at most half full.
+// Slots — and the capacity of each slot's access-pattern vectors — are
+// recycled across transactions, so steady-state admission allocates
+// nothing.
 //
-// Slot reuse is safe by construction: the factory never reuses an id, and
-// every scheduled callback carries (TxnId, epoch) revalidated through
-// HybridSystem::find, so a callback armed for a previous occupant of a slot
-// misses in the id index (its id is gone) or fails the epoch check, and is
-// dropped — exactly as it was with map storage.
+// Scheduled callbacks reach their transaction by ticket: the slot plus that
+// slot's generation when the callback was armed (TxnTicket). The generation
+// lives in the slot's Transaction and survives recycle(); a rerun bumps it
+// (HybridSystem::prepare_rerun) and so does release(). find(ticket) is then
+// one index and one compare, and a callback armed for an earlier run, or
+// for a previous occupant of the slot, fails the compare and is dropped.
+// Because the factory never reuses an id, a ticket matches exactly when the
+// transaction with that id is still in the run the callback was armed for.
+//
+// Lookups keyed by id — lock holders, deadlock cycles, crash victims, ship
+// timeouts — go through an open-addressing id index instead: one
+// multiplicative hash plus a short linear probe in a table kept at most
+// half full.
 #pragma once
 
 #include <cstddef>
@@ -28,9 +34,10 @@ class TxnArena {
  public:
   TxnArena() : table_(kInitialCap) {}
 
-  /// Borrows a recycled (or fresh) slot. Fill it — id included — then call
-  /// commit() to register it in the index. At most one checkout may be
-  /// outstanding; the pointer stays valid until release() of its id.
+  /// Borrows a recycled (or fresh) slot, carrying the slot's current
+  /// ticket. Fill it — id included, ticket untouched — then call commit()
+  /// to register it in the index. At most one checkout may be outstanding;
+  /// the pointer stays valid until release() of its id.
   Transaction* checkout() {
     HLS_ASSERT(pending_ == kNoSlot, "nested arena checkout");
     std::uint32_t slot;
@@ -39,11 +46,25 @@ class TxnArena {
       free_.pop_back();
       slots_[slot]->recycle();
     } else {
+      HLS_ASSERT(slots_.size() < kNoSlot, "arena slot space exhausted");
       slot = static_cast<std::uint32_t>(slots_.size());
       slots_.push_back(std::make_unique<Transaction>());
+      // Generation 1: a default TxnTicket{} never matches a live slot.
+      slots_[slot]->ticket = TxnTicket{slot, 1};
     }
     pending_ = slot;
     return slots_[slot].get();
+  }
+
+  /// checkout() + commit() of a caller-built transaction. The slot keeps
+  /// its own ticket; whatever ticket `txn` carried is discarded.
+  Transaction* adopt(Transaction&& txn) {
+    Transaction* t = checkout();
+    const TxnTicket ticket = t->ticket;
+    *t = std::move(txn);
+    t->ticket = ticket;
+    commit(t);
+    return t;
   }
 
   /// Registers the checked-out transaction under its (now final) id.
@@ -55,7 +76,17 @@ class TxnArena {
     pending_ = kNoSlot;
   }
 
-  /// O(1) expected lookup; nullptr when the id is not live.
+  /// The transaction `ticket` was issued to, while that run is current;
+  /// nullptr once it reran, completed, or its slot moved on.
+  [[nodiscard]] Transaction* find(TxnTicket ticket) const {
+    if (ticket.slot >= slots_.size()) {
+      return nullptr;
+    }
+    Transaction* txn = slots_[ticket.slot].get();
+    return txn->ticket == ticket ? txn : nullptr;
+  }
+
+  /// O(1) expected lookup by id; nullptr when the id is not live.
   [[nodiscard]] Transaction* lookup(TxnId id) const {
     const std::size_t mask = table_.size() - 1;
     std::size_t i = hash(id) & mask;
@@ -68,7 +99,9 @@ class TxnArena {
     return nullptr;
   }
 
-  /// Unregisters `id` and recycles its slot; the id must be live.
+  /// Unregisters `id` and recycles its slot; the id must be live. The
+  /// slot's generation moves on, so every ticket issued for `id` is stale
+  /// from here, before the slot is reused.
   void release(TxnId id) {
     const std::size_t mask = table_.size() - 1;
     std::size_t i = hash(id) & mask;
@@ -76,6 +109,7 @@ class TxnArena {
       HLS_ASSERT(table_[i].id != kInvalidTxn, "releasing an unknown txn id");
       i = (i + 1) & mask;
     }
+    ++slots_[table_[i].slot]->ticket.generation;
     free_.push_back(table_[i].slot);
     // Backward-shift deletion keeps probe chains gap-free without
     // tombstones, so the admit/complete churn of a long run never

@@ -25,7 +25,7 @@ EventQueue::EventQueue() : buckets_(kMinBuckets), bucket_mask_(kMinBuckets - 1) 
 std::uint64_t EventQueue::day_of(SimTime time) const {
   const double scaled = time * inv_width_;
   if (!(scaled > 0.0)) {
-    return 0;  // times at or below zero (the sim never rewinds) share day 0
+    return 0;  // time zero
   }
   if (scaled >= kMaxDay) {
     return static_cast<std::uint64_t>(kMaxDay);
@@ -58,19 +58,23 @@ void EventQueue::free_slot(std::uint32_t slot) {
 }
 
 EventId EventQueue::push(SimTime time, Callback&& callback) {
+  // The key orders non-negative times only; this also rejects NaN.
+  HLS_ASSERT(time >= 0.0, "event time is NaN or negative");
+  time += 0.0;  // -0.0 -> +0.0, which it ties with
   const std::uint32_t slot = allocate_slot();
   slots_[slot].callback = std::move(callback);
   slots_[slot].time = time;
   const std::uint64_t day = day_of(time);
   std::vector<Entry>& bucket = buckets_[day & bucket_mask_];
-  bucket.push_back(Entry{time, next_seq_++, slot});
+  const Entry& entry =
+      bucket.emplace_back(Entry{std::bit_cast<std::uint64_t>(time), next_seq_++, slot});
   ++live_;
   if (day < cur_day_) {
     cur_day_ = day;  // push behind the scan floor (non-monotonic callers)
   }
   // A strictly earlier time beats the cached min; an equal time loses on
   // the sequence tiebreak, so the cache stays correct untouched.
-  if (min_valid_ && time < buckets_[min_bucket_][min_pos_].time) {
+  if (min_valid_ && entry.key() < buckets_[min_bucket_][min_pos_].key()) {
     min_bucket_ = day & bucket_mask_;
     min_pos_ = bucket.size() - 1;
   }
@@ -117,7 +121,7 @@ SimTime EventQueue::next_time() {
   if (!min_valid_) {
     locate_min();
   }
-  return buckets_[min_bucket_][min_pos_].time;
+  return buckets_[min_bucket_][min_pos_].when();
 }
 
 EventQueue::Popped EventQueue::pop() {
@@ -131,9 +135,9 @@ EventQueue::Popped EventQueue::pop() {
   bucket.pop_back();
   min_valid_ = false;
   --live_;
-  cur_day_ = day_of(e.time);
+  cur_day_ = day_of(e.when());
   const EventId id = encode_id(e.slot, slots_[e.slot].generation);
-  Popped out{e.time, id, std::move(slots_[e.slot].callback)};
+  Popped out{e.when(), id, std::move(slots_[e.slot].callback)};
   free_slot(e.slot);
   shrink_if_sparse();
   return out;
@@ -159,13 +163,18 @@ void EventQueue::locate_min() {
     if (bucket.empty()) {
       continue;
     }
+    // Branch-free minimum: which entry wins is data-dependent, so a
+    // compare-and-branch here mispredicts; the key compare compiles to
+    // conditional moves.
     std::size_t best = 0;
+    Key best_key = bucket[0].key();
     for (std::size_t i = 1; i < bucket.size(); ++i) {
-      if (before(bucket[i], bucket[best])) {
-        best = i;
-      }
+      const Key key = bucket[i].key();
+      const bool less = key < best_key;
+      best_key = less ? key : best_key;
+      best = less ? i : best;
     }
-    if (day_of(bucket[best].time) == day) {
+    if (day_of(bucket[best].when()) == day) {
       cur_day_ = day;
       min_bucket_ = day & bucket_mask_;
       min_pos_ = best;
@@ -179,17 +188,20 @@ void EventQueue::locate_min() {
   // bucket for the global minimum and jump the calendar to its day.
   std::size_t best_bucket = kNone;
   std::size_t best_pos = 0;
+  Key best_key = 0;
   for (std::size_t b = 0; b < nbuckets; ++b) {
     const std::vector<Entry>& bucket = buckets_[b];
     for (std::size_t i = 0; i < bucket.size(); ++i) {
-      if (best_bucket == kNone || before(bucket[i], buckets_[best_bucket][best_pos])) {
+      const Key key = bucket[i].key();
+      if (best_bucket == kNone || key < best_key) {
         best_bucket = b;
         best_pos = i;
+        best_key = key;
       }
     }
   }
   HLS_ASSERT(best_bucket != kNone, "locate_min() found no event");
-  cur_day_ = day_of(buckets_[best_bucket][best_pos].time);
+  cur_day_ = day_of(buckets_[best_bucket][best_pos].when());
   min_bucket_ = best_bucket;
   min_pos_ = best_pos;
   min_valid_ = true;
@@ -202,10 +214,10 @@ void EventQueue::rebuild(std::size_t nbuckets) {
   for (std::vector<Entry>& bucket : buckets_) {
     for (const Entry& e : bucket) {
       if (scratch_.empty()) {
-        min_t = max_t = e.time;
+        min_t = max_t = e.when();
       } else {
-        min_t = std::min(min_t, e.time);
-        max_t = std::max(max_t, e.time);
+        min_t = std::min(min_t, e.when());
+        max_t = std::max(max_t, e.when());
       }
       scratch_.push_back(e);
     }
@@ -228,7 +240,7 @@ void EventQueue::rebuild(std::size_t nbuckets) {
     times_scratch_.clear();
     times_scratch_.reserve(n);
     for (const Entry& e : scratch_) {
-      times_scratch_.push_back(e.time);
+      times_scratch_.push_back(e.when());
     }
     std::sort(times_scratch_.begin(), times_scratch_.end());
     // Squash each adjacent gap into the front of the buffer, keeping only
@@ -259,7 +271,7 @@ void EventQueue::rebuild(std::size_t nbuckets) {
   buckets_.assign(nbuckets, {});
   bucket_mask_ = nbuckets - 1;
   for (const Entry& e : scratch_) {
-    buckets_[day_of(e.time) & bucket_mask_].push_back(e);
+    buckets_[day_of(e.when()) & bucket_mask_].push_back(e);
   }
   cur_day_ = scratch_.empty() ? 0 : day_of(min_t);
   min_valid_ = false;

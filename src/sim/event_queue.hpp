@@ -10,6 +10,14 @@
 // compares the full (time, seq) key, so firing order is exactly the total
 // order the heap produced, independent of bucket geometry.
 //
+// The key is one 128-bit integer: the time's bit pattern above the
+// sequence number. Event times are non-negative (push asserts it), and
+// non-negative doubles order like their bit patterns once -0.0 is folded
+// onto +0.0, so integer order on the key is (time, seq) order. The bucket
+// scan picks its minimum with conditional moves on that key: which entry
+// wins is data-dependent, and a branch per entry would mispredict about as
+// often as it is taken.
+//
 // Events live in a slot table: an EventId encodes (slot, generation), and
 // a slot is reused with a bumped generation once its event fires or is
 // cancelled, so stale ids are rejected exactly. Cancellation is eager: the
@@ -21,6 +29,7 @@
 // closure.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -36,8 +45,8 @@ class EventQueue {
 
   EventQueue();
 
-  /// Inserts an event, moving `callback` into its slot; returns an id
-  /// usable with cancel().
+  /// Inserts an event at `time` (a non-negative number, +inf allowed),
+  /// moving `callback` into its slot; returns an id usable with cancel().
   EventId push(SimTime time, Callback&& callback);
 
   /// Removes a pending event and releases its callback. Returns false if
@@ -62,12 +71,19 @@ class EventQueue {
   Popped pop();
 
  private:
+  /// Firing-order key: (time bits << 64) | seq. GCC and Clang provide the
+  /// type; __extension__ keeps -Wpedantic quiet about it.
+  __extension__ using Key = unsigned __int128;
+
   /// Bucket entry: plain data, cheap to scan and to shuffle on resize.
   /// The callback lives in the slot table, not here.
   struct Entry {
-    SimTime time;
+    std::uint64_t time_bits;  // bit pattern of the (non-negative) time
     std::uint64_t seq;
     std::uint32_t slot;
+
+    [[nodiscard]] SimTime when() const { return std::bit_cast<SimTime>(time_bits); }
+    [[nodiscard]] Key key() const { return Key{time_bits} << 64 | seq; }
   };
 
   struct Slot {
@@ -86,17 +102,9 @@ class EventQueue {
     return (static_cast<EventId>(slot) + 1) << 32 | generation;
   }
 
-  /// True when a precedes b in firing order.
-  static bool before(const Entry& a, const Entry& b) {
-    if (a.time != b.time) {
-      return a.time < b.time;
-    }
-    return a.seq < b.seq;
-  }
-
-  /// Day number of `time` on the current calendar. Monotone in time (times
-  /// at or below zero clamp to day 0, far-future times to a ceiling that
-  /// still leaves headroom for a full year scan), and used for both
+  /// Day number of `time` on the current calendar. Monotone in time (zero
+  /// is day 0, far-future times clamp to a ceiling that still leaves
+  /// headroom for a full year scan), and used for both
   /// placement and the scan qualification test so float truncation can
   /// never disagree between the two.
   [[nodiscard]] std::uint64_t day_of(SimTime time) const;

@@ -26,9 +26,9 @@ template <typename R, typename... Args>
 class UniqueFunction<R(Args...)> {
  public:
   /// Inline capture capacity. Sized so the protocol engine's continuation
-  /// captures (this + TxnId + epoch + a member-function pointer + a small
-  /// payload, 56 bytes with a 16-byte Itanium-ABI member pointer) fit
-  /// without touching the heap; the whole wrapper is 80 bytes.
+  /// captures (this + an 8-byte transaction ticket + a member-function
+  /// pointer + a small payload, with a 16-byte Itanium-ABI member pointer)
+  /// fit without touching the heap; the whole wrapper is 80 bytes.
   static constexpr std::size_t kBufferSize = 56;
 
   UniqueFunction() noexcept = default;

@@ -8,9 +8,10 @@
 // and compares everything either table lets a caller observe: the
 // operation's result, the order the grant callbacks fired in, the grab's
 // flag and preempted set, the deadlock verdict (a reported cycle must be a
-// real waits-for cycle that starts at the requester), holders_of in holder
-// order, held_locks as a set, waiting_lock, the coherence counts and the
-// totals. LockManager's own check_invariants runs after the comparison.
+// real waits-for cycle that starts at the requester), holders_of and
+// visit_holders in holder order, held_locks as a set, waiting_lock, the
+// coherence counts and the totals. LockManager's own check_invariants runs
+// after the comparison.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -68,9 +69,15 @@ std::string first_difference(const LockManager& lm, const reference::LockTable& 
   for (LockId lock = 0; lock < static_cast<LockId>(shape.locks); ++lock) {
     const auto got = lm.holders_of(lock);
     const auto want = ref.holders_of(lock);
-    bool same = got.size() == want.size();
+    std::vector<LockManager::HolderInfo> visited;
+    lm.visit_holders(lock, [&visited](const LockManager::HolderInfo& h) {
+      visited.push_back(h);
+      return true;
+    });
+    bool same = got.size() == want.size() && visited.size() == got.size();
     for (std::size_t i = 0; same && i < got.size(); ++i) {
-      same = got[i].txn == want[i].txn && got[i].mode == want[i].mode;
+      same = got[i].txn == want[i].txn && got[i].mode == want[i].mode &&
+             visited[i].txn == got[i].txn && visited[i].mode == got[i].mode;
     }
     if (!same) {
       out << "holders_of(" << lock << "):";

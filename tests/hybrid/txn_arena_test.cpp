@@ -1,8 +1,8 @@
 // TxnArena: pooled live-transaction storage. The critical property is that
 // slot reuse can never resurrect a completed transaction for a stale
-// callback: ids are never reused by the factory, so a stale (TxnId, epoch)
-// pair either misses in the id index or fails the epoch compare — the exact
-// check HybridSystem::find performs.
+// callback: a callback's ticket (slot, generation) stops matching once the
+// transaction reruns or is released, before and after the slot is reused —
+// the exact check every scheduled callback performs through find(ticket).
 #include "hybrid/txn_arena.hpp"
 
 #include <gtest/gtest.h>
@@ -19,23 +19,15 @@
 namespace hls {
 namespace {
 
-// Mirrors HybridSystem::find: a scheduled callback's captured (id, epoch)
-// resolves only while that exact attempt is live.
-Transaction* find(const TxnArena& arena, TxnId id, std::uint64_t epoch) {
-  Transaction* txn = arena.lookup(id);
-  if (txn == nullptr || txn->epoch != epoch) {
-    return nullptr;
-  }
-  return txn;
-}
-
-TxnId admit(TxnArena& arena, TxnId id, std::uint64_t epoch = 0) {
+TxnId admit(TxnArena& arena, TxnId id) {
   Transaction* txn = arena.checkout();
   txn->id = id;
-  txn->epoch = epoch;
   arena.commit(txn);
   return id;
 }
+
+/// What the abort/rerun path does to a transaction's ticket.
+void rerun(Transaction* txn) { ++txn->ticket.generation; }
 
 TEST(TxnArena, CheckoutCommitLookupRelease) {
   TxnArena arena;
@@ -68,44 +60,86 @@ TEST(TxnArena, ReusedSlotRejectsStaleId) {
 
 TEST(TxnArena, StaleEpochRejectedAfterRerun) {
   TxnArena arena;
-  admit(arena, 7, /*epoch=*/0);
+  admit(arena, 7);
   Transaction* txn = arena.lookup(7);
   ASSERT_NE(txn, nullptr);
 
   // A callback armed during attempt 0 ...
-  const TxnId stale_id = txn->id;
-  const std::uint64_t stale_epoch = txn->epoch;
-  EXPECT_EQ(find(arena, stale_id, stale_epoch), txn);
+  const TxnTicket stale = txn->ticket;
+  EXPECT_EQ(arena.find(stale), txn);
 
-  // ... must be dropped once the abort/rerun path bumps the epoch.
-  ++txn->epoch;
-  EXPECT_EQ(find(arena, stale_id, stale_epoch), nullptr);
-  EXPECT_EQ(find(arena, stale_id, stale_epoch + 1), txn);
+  // ... must be dropped once the abort/rerun path bumps the ticket.
+  rerun(txn);
+  EXPECT_EQ(arena.find(stale), nullptr);
+  EXPECT_EQ(arena.find(txn->ticket), txn);
+  // Lookup by id does not depend on the ticket.
+  EXPECT_EQ(arena.lookup(7), txn);
+}
+
+TEST(TxnArena, TicketStaleAfterReleaseBeforeTheSlotIsReused) {
+  TxnArena arena;
+  admit(arena, 1);
+  const TxnTicket ticket = arena.lookup(1)->ticket;
+  arena.release(1);
+  // The slot is free and not yet recycled: the ticket already fails.
+  EXPECT_EQ(arena.find(ticket), nullptr);
+
+  admit(arena, 2);
+  Transaction* occupant = arena.lookup(2);
+  EXPECT_EQ(occupant->ticket.slot, ticket.slot);  // the same slot, reused
+  EXPECT_EQ(arena.find(ticket), nullptr);
+  EXPECT_EQ(arena.find(occupant->ticket), occupant);
+}
+
+TEST(TxnArena, DefaultTicketNeverMatches) {
+  TxnArena arena;
+  admit(arena, 1);
+  EXPECT_EQ(arena.lookup(1)->ticket.slot, 0u);
+  EXPECT_EQ(arena.find(TxnTicket{}), nullptr);
+  EXPECT_EQ(arena.find(TxnTicket{5, 1}), nullptr);  // no such slot
+}
+
+TEST(TxnArena, AdoptKeepsTheSlotsTicket) {
+  TxnArena arena;
+  admit(arena, 1);
+  const TxnTicket retired = arena.lookup(1)->ticket;
+  arena.release(1);
+
+  // A caller-built transaction carrying a stale ticket (here: the retired
+  // occupant's) gets the slot's own ticket instead.
+  Transaction txn;
+  txn.id = 2;
+  txn.ticket = retired;
+  Transaction* adopted = arena.adopt(std::move(txn));
+  ASSERT_EQ(adopted, arena.lookup(2));
+  EXPECT_NE(adopted->ticket, retired);
+  EXPECT_EQ(arena.find(retired), nullptr);
+  EXPECT_EQ(arena.find(adopted->ticket), adopted);
 }
 
 TEST(TxnArena, SlotReuseStressRejectsEveryStaleCallback) {
   TxnArena arena;
   Rng rng(17);
-  // Retired (id, epoch) pairs play the role of stale scheduled callbacks.
-  std::vector<std::pair<TxnId, std::uint64_t>> stale;
-  std::map<TxnId, std::uint64_t> live;  // reference: id -> current epoch
+  // Retired tickets play the role of stale scheduled callbacks.
+  std::vector<std::pair<TxnId, TxnTicket>> stale;
+  std::map<TxnId, TxnTicket> live;  // reference: id -> current ticket
   TxnId next_id = 1;
 
   for (int step = 0; step < 20000; ++step) {
     const double roll = rng.next_double();
     if (roll < 0.45 || live.empty()) {
-      admit(arena, next_id, 0);
-      live[next_id] = 0;
+      admit(arena, next_id);
+      live[next_id] = arena.lookup(next_id)->ticket;
       ++next_id;
     } else if (roll < 0.65) {
-      // Rerun a random live transaction: its pre-bump pair goes stale.
+      // Rerun a random live transaction: its pre-bump ticket goes stale.
       auto it = live.begin();
       std::advance(it, static_cast<long>(rng.next_below(live.size())));
       Transaction* txn = arena.lookup(it->first);
       ASSERT_NE(txn, nullptr);
-      stale.emplace_back(txn->id, txn->epoch);
-      ++txn->epoch;
-      ++it->second;
+      stale.emplace_back(txn->id, txn->ticket);
+      rerun(txn);
+      it->second = txn->ticket;
     } else {
       // Complete a random live transaction; its slot becomes reusable.
       auto it = live.begin();
@@ -117,14 +151,16 @@ TEST(TxnArena, SlotReuseStressRejectsEveryStaleCallback) {
     ASSERT_EQ(arena.live_count(), live.size());
   }
 
-  // Every live pair resolves; every stale pair is rejected.
-  for (const auto& [id, epoch] : live) {
-    Transaction* txn = find(arena, id, epoch);
+  // Every live ticket resolves to its transaction; every stale one is
+  // rejected, though most of their slots now host other transactions.
+  for (const auto& [id, ticket] : live) {
+    Transaction* txn = arena.find(ticket);
     ASSERT_NE(txn, nullptr);
     EXPECT_EQ(txn->id, id);
+    EXPECT_EQ(arena.lookup(id), txn);
   }
-  for (const auto& [id, epoch] : stale) {
-    EXPECT_EQ(find(arena, id, epoch), nullptr) << "stale id " << id;
+  for (const auto& [id, ticket] : stale) {
+    EXPECT_EQ(arena.find(ticket), nullptr) << "stale ticket of id " << id;
   }
 }
 
@@ -173,8 +209,12 @@ TEST(TxnArena, RecycledSlotStartsFromFreshState) {
   TxnArena arena;
   admit(arena, 1);
   Transaction* txn = arena.lookup(1);
+  std::vector<TxnTicket> issued{txn->ticket};
+  for (int run = 1; run <= 3; ++run) {
+    rerun(txn);
+    issued.push_back(txn->ticket);
+  }
   txn->run_count = 3;
-  txn->epoch = 3;
   txn->marked_abort = true;
   txn->locks.push_back({5, LockMode::Exclusive});
   arena.release(1);
@@ -183,7 +223,11 @@ TEST(TxnArena, RecycledSlotStartsFromFreshState) {
   Transaction* reused = arena.lookup(2);
   ASSERT_EQ(reused, txn);  // same slot
   EXPECT_EQ(reused->run_count, 0);
-  EXPECT_EQ(reused->epoch, 0u);
+  // The recycled slot issues a ticket that matches none issued to the
+  // previous occupant.
+  for (const TxnTicket ticket : issued) {
+    EXPECT_NE(reused->ticket, ticket);
+  }
   EXPECT_FALSE(reused->marked_abort);
   EXPECT_TRUE(reused->locks.empty());
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -207,17 +208,20 @@ TEST(EventQueue, CancelAllThenFreshPushDrainsClean) {
 }
 
 // Property: against a reference model (sorted multiset of (time, seq)).
+// Times come from a coarse grid, so exact ties are frequent and the popped
+// id, not only its time, must match the reference minimum.
 TEST(EventQueue, RandomOperationsMatchReferenceModel) {
   Rng rng(99);
   EventQueue q;
   std::vector<std::pair<double, std::uint64_t>> reference;  // (time, seq)
   std::vector<EventId> live_ids;
   std::uint64_t seq = 0;
+  std::size_t tied_pops = 0;
 
   for (int step = 0; step < 5000; ++step) {
     const double roll = rng.next_double();
     if (roll < 0.55 || q.empty()) {
-      const double t = rng.uniform(0.0, 100.0);
+      const double t = 0.25 * static_cast<double>(rng.next_below(64));
       live_ids.push_back(q.push(t, [] {}));
       reference.emplace_back(t, seq++);
     } else if (roll < 0.75 && !live_ids.empty()) {
@@ -235,13 +239,52 @@ TEST(EventQueue, RandomOperationsMatchReferenceModel) {
       const auto popped = q.pop();
       auto best = std::min_element(reference.begin(), reference.end());
       ASSERT_NE(best, reference.end());
-      ASSERT_DOUBLE_EQ(popped.time, best->first);
+      ASSERT_EQ(popped.time, best->first);
       const std::size_t idx = best - reference.begin();
+      ASSERT_EQ(popped.id, live_ids[idx]) << "wrong event among equal times";
+      tied_pops += static_cast<std::size_t>(
+          std::count_if(reference.begin(), reference.end(),
+                        [&](const auto& r) { return r.first == best->first; }) > 1);
       reference.erase(best);
       live_ids.erase(live_ids.begin() + static_cast<long>(idx));
     }
     ASSERT_EQ(q.size(), reference.size());
   }
+  EXPECT_GT(tied_pops, 100u);  // the grid really produced ties
+}
+
+// -0.0 folds onto +0.0 in the key: they tie and fire in push order.
+TEST(EventQueue, SignedZerosTieAndFireInPushOrder) {
+  EventQueue q;
+  const EventId a = q.push(0.0, [] {});
+  const EventId b = q.push(-0.0, [] {});
+  const EventId c = q.push(0.0, [] {});
+  const EventId d = q.push(-0.0, [] {});
+  for (const EventId want : {a, b, c, d}) {
+    const auto popped = q.pop();
+    EXPECT_EQ(popped.id, want);
+    EXPECT_EQ(popped.time, 0.0);
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+// +inf sorts after every finite time; equal infinities fire in push order.
+TEST(EventQueue, InfinityFiresLastAndInPushOrder) {
+  EventQueue q;
+  const double inf = std::numeric_limits<double>::infinity();
+  const EventId x = q.push(inf, [] {});
+  const EventId y = q.push(5.0, [] {});
+  const EventId z = q.push(inf, [] {});
+  const EventId w = q.push(std::numeric_limits<double>::max(), [] {});
+  for (const EventId want : {y, w, x, z}) {
+    EXPECT_EQ(q.pop().id, want);
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueDeathTest, NanPushIsAnInvariantViolation) {
+  EventQueue q;
+  EXPECT_DEATH(q.push(std::numeric_limits<double>::quiet_NaN(), [] {}), "NaN");
 }
 
 // Property: exact (time, seq) pop order through calendar resizes. The

@@ -33,7 +33,7 @@ const std::vector<std::pair<std::string, std::string>>& rule_catalog() {
       {"hls-assert", "invariants use HLS_ASSERT, not assert()"},
       {"float-eq", "no floating-point == / != in src/"},
       {"callback-epoch",
-       "scheduled lambdas capturing txn state carry (TxnId, epoch) and "
+       "scheduled lambdas capturing txn state carry a ticket and "
        "revalidate via find()"},
       {"bench-time-scale",
        "every bench main() honors HLS_TIME_SCALE via bench::scaled_options "

@@ -86,6 +86,7 @@ const std::set<std::string>& header_only_whitelist() {
   static const std::set<std::string> kWhitelist = {
       "hybrid/config.hpp",      // plain parameter struct, read by every layer
       "hybrid/transaction.hpp",  // plain record type, named by obs events
+      "hybrid/txn_arena.hpp",    // pooled Transaction storage, baselines too
       "routing/strategy.hpp",    // strategy interface; breaks routing<->hybrid
   };
   return kWhitelist;

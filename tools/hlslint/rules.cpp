@@ -529,11 +529,11 @@ void analyze_scheduled_lambda(const SourceFile& f, const LambdaText& lam,
   if (raw_txn && !body_revalidates) {
     add(out, f, line, "callback-epoch",
         "scheduled lambda captures a raw Transaction*; capture "
-        "(id = txn->id, epoch = txn->epoch) and revalidate via find()");
+        "(ticket = txn->ticket) and revalidate via arena_.find(ticket)");
   } else if (!raw_txn && id_from_txn && !captures_epoch && !body_revalidates) {
     add(out, f, line, "callback-epoch",
-        "scheduled lambda captures transaction state without an epoch; "
-        "the callback can fire after a rerun reuses the id");
+        "scheduled lambda captures transaction state without a ticket; "
+        "the callback can fire after a rerun or after its slot is reused");
   }
 }
 
